@@ -4,7 +4,7 @@
 //                 [--duration T] [--seed S] [--interval U]
 //   pdr_tool info --in city.pdrd
 //   pdr_tool query --in city.pdrd --varrho R --l L [--qt T]
-//                  [--engine fr|pa|both] [--index tpr|bx] [--threads N]
+//                  [--engine fr|pa|both] [--threads N]
 //                  [--trace FILE] [--deadline-ms D] [--degrade 0|1]
 //   pdr_tool monitor --in city.pdrd --varrho R --l L [--lookahead W]
 //                    [--every K] [--threads N] [--trace FILE]
@@ -15,12 +15,11 @@
 //                    [--deadline-ms D] [--degrade 0|1] [--threads N]
 //                    [--format text|json] [--flight-dir DIR]
 //   pdr_tool stats --in city.pdrd --varrho R --l L [--qt T]
-//                  [--engine fr|pa|both] [--index tpr|bx] [--queries N]
+//                  [--engine fr|pa|both] [--queries N]
 //                  [--json FILE] [--format text|prometheus]
-//   pdr_tool save --in city.pdrd --wal-dir DIR [--index tpr|bx]
-//                 [--checkpoint-every K]
-//   pdr_tool recover --in city.pdrd --wal-dir DIR [--index tpr|bx]
-//                    [--varrho R] [--l L] [--qt T]
+//   pdr_tool save --in city.pdrd --wal-dir DIR [--checkpoint-every K]
+//   pdr_tool recover --in city.pdrd --wal-dir DIR [--varrho R] [--l L]
+//                    [--qt T]
 //   pdr_tool fsck --wal-dir DIR [--repair] [--json]
 //   pdr_tool record --in city.pdrd --log run.wlog --varrho R --l L
 //                   [--lookahead W] [--every K] [--threads N]
@@ -171,7 +170,7 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
       {"gen", {"out", "objects", "extent", "duration", "seed", "interval"}},
       {"info", {"in"}},
       {"query",
-       {"in", "varrho", "l", "qt", "engine", "index", "threads", "trace",
+       {"in", "varrho", "l", "qt", "engine", "threads", "trace",
         "deadline-ms", "degrade", "flight-dir", "fft-grid"}},
       {"explain",
        {"in", "varrho", "l", "qt", "deadline-ms", "degrade", "threads",
@@ -182,10 +181,9 @@ const std::map<std::string, std::set<std::string>>& CommandFlags() {
         "deadline-ms", "max-inflight", "degrade", "flight-dir", "slo-ms",
         "concurrent", "wal-dir", "scrub-budget", "checkpoint-every"}},
       {"stats",
-       {"in", "varrho", "l", "qt", "engine", "index", "queries", "json",
-        "format"}},
-      {"save", {"in", "wal-dir", "index", "checkpoint-every"}},
-      {"recover", {"in", "wal-dir", "index", "varrho", "l", "qt"}},
+       {"in", "varrho", "l", "qt", "engine", "queries", "json", "format"}},
+      {"save", {"in", "wal-dir", "checkpoint-every"}},
+      {"recover", {"in", "wal-dir", "varrho", "l", "qt"}},
       {"fsck", {"wal-dir", "repair", "json"}},
       {"record",
        {"in", "log", "varrho", "l", "lookahead", "every", "threads",
@@ -293,7 +291,7 @@ int Usage() {
       "[--duration T] [--seed S] [--interval U]\n"
       "  info:    --in FILE\n"
       "  query:   --in FILE --varrho R --l L [--qt T] "
-      "[--engine fr|pa|fft|both] [--index tpr|bx] [--threads N] "
+      "[--engine fr|pa|fft|both] [--threads N] "
       "[--trace FILE]\n"
       "           [--deadline-ms D] [--degrade 0|1] [--flight-dir DIR] "
       "[--fft-grid M]\n"
@@ -312,12 +310,10 @@ int Usage() {
       "[--scrub-budget P]  (durable standing query; scrub P pages per "
       "evaluated tick)\n"
       "  stats:   --in FILE --varrho R --l L [--qt T] "
-      "[--engine fr|pa|both] [--index tpr|bx] [--queries N] [--json FILE]\n"
+      "[--engine fr|pa|both] [--queries N] [--json FILE]\n"
       "           [--format text|prometheus]\n"
-      "  save:    --in FILE --wal-dir DIR [--index tpr|bx] "
-      "[--checkpoint-every K]\n"
-      "  recover: --in FILE --wal-dir DIR [--index tpr|bx] "
-      "[--varrho R] [--l L] [--qt T]\n"
+      "  save:    --in FILE --wal-dir DIR [--checkpoint-every K]\n"
+      "  recover: --in FILE --wal-dir DIR [--varrho R] [--l L] [--qt T]\n"
       "  fsck:    --wal-dir DIR [--repair] [--json]  (offline store "
       "verify/repair; exit 3 when unrepairable)\n"
       "  record:  --in FILE --log FILE --varrho R --l L [--lookahead W] "
@@ -386,7 +382,6 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
       flags, "qt",
       std::to_string(now + ds.config.max_update_interval / 2)));
   const std::string engine = FlagOr(flags, "engine", "both");
-  const std::string index_name = FlagOr(flags, "index", "tpr");
   TraceOutput trace(FlagOr(flags, "trace", ""));
   if (!ArmFlightRecorder(flags)) return 1;
 
@@ -406,9 +401,6 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
                  .buffer_pages = PaperConfig().BufferPagesFor(
                      ds.config.num_objects),
                  .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval,
                  .exec = ExecFromFlags(flags)});
     PaEngine pa({.extent = extent,
                  .poly_side = 10,
@@ -451,9 +443,6 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
                  .buffer_pages = PaperConfig().BufferPagesFor(
                      ds.config.num_objects),
                  .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval,
                  .exec = ExecFromFlags(flags)});
     FftDensityEngine fft(
         {.extent = extent,
@@ -485,16 +474,13 @@ int RunQuery(const std::map<std::string, std::string>& flags) {
                  .buffer_pages = PaperConfig().BufferPagesFor(
                      ds.config.num_objects),
                  .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval,
                  .exec = ExecFromFlags(flags)});
     ReplayInto(ds, -1, &fr);
     const auto result = fr.Query(q_t, rho, l, /*cold_cache=*/true);
     std::printf(
-        "FR (%s): %zu rects, %.1f sq-miles | %.1f ms CPU + %.0f ms I/O "
+        "FR (tpr): %zu rects, %.1f sq-miles | %.1f ms CPU + %.0f ms I/O "
         "(%lld reads) | cells a/c/r = %lld/%lld/%lld\n",
-        index_name.c_str(), result.region.size(), result.region.Area(),
+        result.region.size(), result.region.Area(),
         result.cost.cpu_ms, result.cost.io_ms,
         static_cast<long long>(result.cost.io_reads()),
         static_cast<long long>(result.accepted_cells),
@@ -546,7 +532,6 @@ int RunExplain(const std::map<std::string, std::string>& flags) {
                .buffer_pages =
                    PaperConfig().BufferPagesFor(ds.config.num_objects),
                .io_ms = 10.0,
-               .max_update_interval = ds.config.max_update_interval,
                .exec = ExecFromFlags(flags)});
   PaEngine pa({.extent = extent,
                .poly_side = 10,
@@ -596,7 +581,6 @@ int RunMonitorConcurrent(const std::map<std::string, std::string>& flags) {
                .buffer_pages =
                    PaperConfig().BufferPagesFor(ds.config.num_objects),
                .io_ms = 10.0,
-               .max_update_interval = ds.config.max_update_interval,
                .snapshots = &snapshots});
   PdrMonitor monitor(&fr, {.rho = rho, .l = l, .lookahead = lookahead});
   monitor.StartConcurrent();
@@ -742,7 +726,6 @@ int RunMonitor(const std::map<std::string, std::string>& flags) {
                .buffer_pages =
                    PaperConfig().BufferPagesFor(ds.config.num_objects),
                .io_ms = 10.0,
-               .max_update_interval = ds.config.max_update_interval,
                .exec = ExecFromFlags(flags),
                .storage_dir = wal_dir});
   CostCalibrator calibrator(&fr);
@@ -927,7 +910,6 @@ int RunStats(const std::map<std::string, std::string>& flags) {
   const Tick now = ds.duration();
   const int queries = std::max(1, std::stoi(FlagOr(flags, "queries", "5")));
   const std::string engine = FlagOr(flags, "engine", "both");
-  const std::string index_name = FlagOr(flags, "index", "tpr");
 
   PdrObs::SetEnabled(true);
   MetricsRegistry::Global().ResetAll();
@@ -946,10 +928,7 @@ int RunStats(const std::map<std::string, std::string>& flags) {
                  .horizon = horizon,
                  .buffer_pages = PaperConfig().BufferPagesFor(
                      ds.config.num_objects),
-                 .io_ms = 10.0,
-                 .index = index_name == "bx" ? IndexKind::kBxTree
-                                             : IndexKind::kTprTree,
-                 .max_update_interval = ds.config.max_update_interval});
+                 .io_ms = 10.0});
     ReplayInto(ds, -1, &fr);
     for (const Tick q_t : ticks) {
       fr.Query(q_t, rho, l, /*cold_cache=*/true);
@@ -998,20 +977,15 @@ int RunStats(const std::map<std::string, std::string>& flags) {
 }
 
 // Shared FR options for the durable subcommands: save and recover must
-// construct the engine identically (extent, histogram, horizon, index) or
-// the recovered metadata will refuse to attach.
-FrEngine::Options DurableOptions(const Dataset& ds,
-                                 const std::string& index_name,
-                                 const std::string& dir) {
+// construct the engine identically (extent, histogram, horizon) or the
+// recovered metadata will refuse to attach.
+FrEngine::Options DurableOptions(const Dataset& ds, const std::string& dir) {
   return {.extent = ds.config.extent,
           .histogram_side = 100,
           .horizon = 2 * ds.config.max_update_interval,
           .buffer_pages =
               PaperConfig().BufferPagesFor(ds.config.num_objects),
           .io_ms = 10.0,
-          .index = index_name == "bx" ? IndexKind::kBxTree
-                                      : IndexKind::kTprTree,
-          .max_update_interval = ds.config.max_update_interval,
           .storage_dir = dir};
 }
 
@@ -1032,10 +1006,9 @@ int RunSave(const std::map<std::string, std::string>& flags) {
                  dir.c_str());
     return 1;
   }
-  const std::string index_name = FlagOr(flags, "index", "tpr");
   const Tick every = std::stoi(FlagOr(flags, "checkpoint-every", "0"));
 
-  FrEngine fr(DurableOptions(ds, index_name, dir));
+  FrEngine fr(DurableOptions(ds, dir));
   Timer timer;
   Tick since_checkpoint = 0;
   for (Tick now = 0; now <= ds.duration(); ++now) {
@@ -1052,8 +1025,8 @@ int RunSave(const std::map<std::string, std::string>& flags) {
   const DiskPager* disk = fr.index().disk();
   const CheckpointStats& cs = disk->checkpoint_stats();
   const WalStats& ws = disk->wal_stats();
-  std::printf("saved %s store to %s (%zu objects, %d ticks, %.0f ms)\n",
-              index_name.c_str(), dir.c_str(), fr.index().size(),
+  std::printf("saved tpr store to %s (%zu objects, %d ticks, %.0f ms)\n",
+              dir.c_str(), fr.index().size(),
               ds.duration(), total_ms);
   std::printf("checkpoints : %lld (%lld page images, last %.2f ms)\n",
               static_cast<long long>(cs.checkpoints),
@@ -1074,7 +1047,7 @@ int RunRecover(const std::map<std::string, std::string>& flags) {
   const std::string dir = FlagOr(flags, "wal-dir", "");
   if (dir.empty()) return Usage();
 
-  FrEngine fr(DurableOptions(ds, FlagOr(flags, "index", "tpr"), dir));
+  FrEngine fr(DurableOptions(ds, dir));
   if (!fr.recovered()) {
     std::fprintf(stderr, "error: no durable store in %s\n", dir.c_str());
     return 1;
@@ -1192,7 +1165,6 @@ int RunRecord(const std::map<std::string, std::string>& flags) {
   header.horizon = 2 * ds.config.max_update_interval;
   header.buffer_pages = PaperConfig().BufferPagesFor(ds.config.num_objects);
   header.io_ms = 10.0;
-  header.index = static_cast<uint8_t>(IndexKind::kTprTree);
   header.poly_side = 10;
   header.degree = std::stoi(FlagOr(flags, "degree", "5"));
   header.eval_grid = 1000;

@@ -4,7 +4,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "pdr/bx/bx_tree.h"
 #include "pdr/core/fr_snapshot_state.h"
 #include "pdr/mvcc/snapshot_manager.h"
 #include "pdr/mvcc/versioned_histogram.h"
@@ -13,7 +12,6 @@
 #include "pdr/obs/obs.h"
 #include "pdr/parallel/thread_pool.h"
 #include "pdr/storage/serde.h"
-#include "pdr/tpr/tpr_tree.h"
 
 namespace pdr {
 namespace {
@@ -28,33 +26,21 @@ std::unique_ptr<mvcc::VersionedPager> MakeVersionedPager(
   return std::make_unique<mvcc::VersionedPager>(options.snapshots);
 }
 
-std::unique_ptr<ObjectIndex> MakeIndex(const FrEngine::Options& options,
-                                       Pager* external_pager) {
-  switch (options.index) {
-    case IndexKind::kBxTree: {
-      BxTree::Options bx;
-      bx.buffer_pages = options.buffer_pages;
-      bx.extent = options.extent;
-      bx.max_update_interval = options.max_update_interval;
-      bx.storage_dir = options.storage_dir;
-      bx.fault_injector = options.fault_injector;
-      bx.external_pager = external_pager;
-      return std::make_unique<BxTree>(bx);
-    }
-    case IndexKind::kTprTree:
-      break;
-  }
-  TprTree::Options tpr;
-  tpr.buffer_pages = options.buffer_pages;
-  tpr.horizon = options.horizon;
-  tpr.storage_dir = options.storage_dir;
-  tpr.fault_injector = options.fault_injector;
-  tpr.external_pager = external_pager;
-  return std::make_unique<TprTree>(tpr);
+TprTree::Options TreeOptions(const FrEngine::Options& options,
+                             Pager* external_pager) {
+  return {.buffer_pages = options.buffer_pages,
+          .horizon = options.horizon,
+          .storage_dir = options.storage_dir,
+          .fault_injector = options.fault_injector,
+          .external_pager = external_pager};
 }
 
 constexpr uint32_t kEngineMetaMagic = 0x454d5246u;  // "FRME"
 constexpr uint32_t kEngineMetaVersion = 1;
+// Version 1 blobs carry an index-kind byte after the header. The TPR-tree
+// is the only index, so it is always 0; a store holding any other value
+// was written by a retired backend and is refused.
+constexpr uint8_t kEngineMetaTprKind = 0;
 
 struct FrMetrics {
   Counter& queries;
@@ -85,24 +71,23 @@ FrEngine::FrEngine(const Options& options)
     : options_(options),
       histogram_({options.extent, options.histogram_side, options.horizon}),
       versioned_pager_(MakeVersionedPager(options)),
-      index_(MakeIndex(options, versioned_pager_.get())) {
+      index_(TreeOptions(options, versioned_pager_.get())) {
   if (options_.snapshots != nullptr) {
     histogram_.EnableDirtyTracking();
     vhist_ = std::make_unique<mvcc::VersionedHistogram>(&histogram_,
                                                         options_.snapshots);
   }
-  if (index_->recovered()) {
+  if (index_.recovered()) {
     // The index restored its pages and metadata from the store; the
     // engine-level blob riding on the same checkpoint restores the filter
     // side, so filter and refinement resume from one consistent instant.
-    ByteReader reader(index_->recovered_app_meta());
+    ByteReader reader(index_.recovered_app_meta());
     if (reader.Get<uint32_t>() != kEngineMetaMagic ||
         reader.Get<uint32_t>() != kEngineMetaVersion) {
       throw std::runtime_error(
           "recovered store does not hold FR engine state");
     }
-    const auto kind = static_cast<IndexKind>(reader.Get<uint8_t>());
-    if (kind != options_.index) {
+    if (reader.Get<uint8_t>() != kEngineMetaTprKind) {
       throw std::runtime_error(
           "recovered store was checkpointed with a different index kind");
     }
@@ -113,15 +98,15 @@ FrEngine::FrEngine(const Options& options)
 FrEngine::~FrEngine() = default;
 
 void FrEngine::Checkpoint() {
-  if (!index_->durable()) return;
+  if (!index_.durable()) return;
   FlightRecorder::Record(FrEvent::kCheckpoint,
                          static_cast<int64_t>(histogram_.now()));
   std::string meta;
   PutPod(&meta, kEngineMetaMagic);
   PutPod(&meta, kEngineMetaVersion);
-  PutPod(&meta, static_cast<uint8_t>(options_.index));
+  PutPod(&meta, kEngineMetaTprKind);
   histogram_.Serialize(&meta);
-  index_->Checkpoint(meta);
+  index_.Checkpoint(meta);
 }
 
 void FrEngine::SetExecPolicy(const ExecPolicy& exec) {
@@ -139,12 +124,12 @@ ThreadPool* FrEngine::PoolForQuery() {
 
 void FrEngine::AdvanceTo(Tick now) {
   histogram_.AdvanceTo(now);
-  index_->AdvanceTo(now);
+  index_.AdvanceTo(now);
 }
 
 void FrEngine::Apply(const UpdateEvent& update) {
   histogram_.Apply(update);
-  index_->Apply(update);
+  index_.Apply(update);
 }
 
 void FrEngine::ValidateQt(Tick q_t) const {
@@ -155,9 +140,10 @@ FrEngine::QueryResult FrEngine::Query(Tick q_t, double rho, double l,
                                       bool cold_cache,
                                       const QueryControl& ctl) {
   ValidateQt(q_t);
-  return FrQueryCore(histogram_.grid(), histogram_.Slice(q_t), *index_,
-                     PoolForQuery(), options_.io_ms, q_t, rho, l, cold_cache,
-                     ctl);
+  index_.PublishShapeGauges();
+  return FrQueryCore(histogram_.grid(), histogram_.Slice(q_t),
+                     index_.buffer_pool(), index_.root(), PoolForQuery(),
+                     options_.io_ms, q_t, rho, l, cold_cache, ctl);
 }
 
 void FrEngine::PrepareCommit() {
@@ -166,7 +152,7 @@ void FrEngine::PrepareCommit() {
   }
   // Flush first: the buffer pool may hold dirty tree pages the pager has
   // never seen, and a published epoch must be the complete tree image.
-  index_->FlushBufferPool();
+  index_.buffer_pool().FlushAll();
   versioned_pager_->PublishDirty();
   vhist_->PublishDirty();
 }
@@ -174,29 +160,20 @@ void FrEngine::PrepareCommit() {
 std::shared_ptr<const FrSnapshotState> FrEngine::CaptureState() const {
   auto state = std::make_shared<FrSnapshotState>();
   state->now = histogram_.now();
-  state->index = options_.index;
-  state->size = index_->size();
-  switch (options_.index) {
-    case IndexKind::kTprTree:
-      state->tpr_root = static_cast<const TprTree&>(*index_).root();
-      break;
-    case IndexKind::kBxTree:
-      state->bx = static_cast<const BxTree&>(*index_).read_view();
-      break;
-  }
+  state->tpr_root = index_.root();
   return state;
 }
 
 FrEngine::QueryResult FrQueryCore(
     const Grid& grid, const std::vector<DensityHistogram::Counter>& slice,
-    ObjectIndex& index, ThreadPool* pool, double io_ms, Tick q_t, double rho,
-    double l, bool cold_cache, const QueryControl& ctl) {
+    BufferPool& buffers, PageId root, ThreadPool* pool, double io_ms,
+    Tick q_t, double rho, double l, bool cold_cache, const QueryControl& ctl) {
   // Entry cancellation point: a query offered with an already-expired
   // deadline (or cancelled token) fails here deterministically, before
   // any engine work.
   if (ctl.active()) ctl.Check();
-  if (cold_cache) index.DropCaches();
-  const IoStats io_before = index.io_stats();
+  if (cold_cache) buffers.Clear();
+  const IoStats io_before = buffers.stats();
 
   TraceSpan span("fr.query");
   span.SetAttr("q_t", static_cast<int64_t>(q_t));
@@ -281,11 +258,11 @@ FrEngine::QueryResult FrQueryCore(
     // pool). Parallel: pool-wide stats mix all threads, so attribute from
     // this thread's delta instead (cleared here, read after the work).
     const IoStats cell_io_before =
-        cell_span.active() && !fan_out ? index.io_stats() : IoStats{};
-    if (fan_out) index.TakeThreadIoDelta();
+        cell_span.active() && !fan_out ? buffers.stats() : IoStats{};
+    if (fan_out) buffers.TakeThreadIoDelta();
     const Rect cell = grid.CellRect(c.col, c.row);
     const Rect window = cell.Expanded(l / 2);
-    const auto objects = index.RangeQuery(window, q_t);
+    const auto objects = TprTree::RangeQueryFrom(buffers, root, window, q_t);
     out.objects = static_cast<int64_t>(objects.size());
     std::vector<Vec2> positions;
     positions.reserve(objects.size());
@@ -299,8 +276,8 @@ FrEngine::QueryResult FrQueryCore(
         FrEvent::kCellEnd, FlightRecorder::Pack(c.col, c.row),
         FlightRecorder::Pack(out.objects, out.sweep.dense_rects));
     if (cell_span.active()) {
-      const IoStats cell_io = fan_out ? index.TakeThreadIoDelta()
-                                      : index.io_stats() - cell_io_before;
+      const IoStats cell_io = fan_out ? buffers.TakeThreadIoDelta()
+                                      : buffers.stats() - cell_io_before;
       cell_span.SetAttr("col", c.col);
       cell_span.SetAttr("row", c.row);
       cell_span.SetAttr("objects", out.objects);
@@ -311,15 +288,15 @@ FrEngine::QueryResult FrQueryCore(
   };
 
   if (fan_out) {
-    index.BeginConcurrentReads();
+    buffers.BeginReadPhase();
     try {
       pool->ParallelFor(static_cast<int64_t>(candidates.size()), refine_cell,
                         control);
     } catch (...) {
-      index.EndConcurrentReads();
+      buffers.EndReadPhase();
       throw;
     }
-    index.EndConcurrentReads();
+    buffers.EndReadPhase();
   } else {
     for (int64_t i = 0; i < static_cast<int64_t>(candidates.size()); ++i) {
       refine_cell(i);
@@ -348,7 +325,7 @@ FrEngine::QueryResult FrQueryCore(
                          result.sweep.dense_rects);
 
   result.cost.cpu_ms = timer.ElapsedMillis();
-  result.cost.io = index.io_stats() - io_before;
+  result.cost.io = buffers.stats() - io_before;
   result.cost.io_ms = result.cost.io.ReadCostMs(io_ms);
 
   FrMetrics& metrics = FrMetrics::Get();

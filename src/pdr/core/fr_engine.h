@@ -33,11 +33,11 @@
 #include "pdr/common/stats.h"
 #include "pdr/histogram/density_histogram.h"
 #include "pdr/histogram/filter.h"
-#include "pdr/index/object_index.h"
 #include "pdr/parallel/exec_policy.h"
 #include "pdr/resilience/deadline.h"
 #include "pdr/storage/fault_injector.h"
 #include "pdr/sweep/plane_sweep.h"
+#include "pdr/tpr/tpr_tree.h"
 
 namespace pdr {
 
@@ -50,14 +50,6 @@ class VersionedPager;
 class VersionedHistogram;
 }  // namespace mvcc
 
-/// Which predictive index backs the refinement step (Section 4: "Several
-/// indexing methods have been proposed for linear movement, which we can
-/// adopt in our framework").
-enum class IndexKind {
-  kTprTree,  ///< the paper's choice (time-parameterized R-tree)
-  kBxTree,   ///< B+-tree over Z-order keys with query enlargement
-};
-
 class FrEngine {
  public:
   struct Options {
@@ -66,8 +58,6 @@ class FrEngine {
     Tick horizon = 120;        ///< H = U + W
     size_t buffer_pages = 256; ///< index buffer pool
     double io_ms = 10.0;       ///< charge per physical page read
-    IndexKind index = IndexKind::kTprTree;
-    Tick max_update_interval = 60;  ///< U (B^x-tree phase sizing)
     ExecPolicy exec;           ///< serial by default; see SetExecPolicy
     /// Non-empty: durable storage — the index lives on a DiskPager in this
     /// directory (WAL + checkpoints; see storage/disk_pager.h), and
@@ -147,8 +137,8 @@ class FrEngine {
   DhResult DhOnlyQuery(Tick q_t, double rho, double l, bool optimistic);
 
   const DensityHistogram& histogram() const { return histogram_; }
-  ObjectIndex& index() { return *index_; }
-  const ObjectIndex& index() const { return *index_; }
+  TprTree& index() { return index_; }
+  const TprTree& index() const { return index_; }
   const Options& options() const { return options_; }
 
   /// Durability: makes the whole engine state (index pages + tree metadata
@@ -158,11 +148,11 @@ class FrEngine {
   void Checkpoint();
 
   /// True when the engine writes durable storage.
-  bool durable() const { return index_->durable(); }
+  bool durable() const { return index_.durable(); }
 
   /// True when construction recovered a pre-existing store (queries then
   /// answer exactly as the engine that wrote the last checkpoint did).
-  bool recovered() const { return index_->recovered(); }
+  bool recovered() const { return index_.recovered(); }
 
   // --- MVCC commit hooks (Options.snapshots non-null; writer thread) ----
 
@@ -172,7 +162,7 @@ class FrEngine {
   /// SnapshotManager::Commit; throws std::logic_error without snapshots.
   void PrepareCommit();
 
-  /// The frozen scalar state (clock, index root, read-view) to hand to
+  /// The frozen scalar state (clock, TPR-tree root) to hand to
   /// SnapshotManager::Commit as EpochStates::fr.
   std::shared_ptr<const FrSnapshotState> CaptureState() const;
 
@@ -193,20 +183,22 @@ class FrEngine {
   // Declared before index_: the index's buffer pool writes through this
   // pager, so it must be constructed first and destroyed last.
   std::unique_ptr<mvcc::VersionedPager> versioned_pager_;
-  std::unique_ptr<ObjectIndex> index_;
+  TprTree index_;
   std::unique_ptr<mvcc::VersionedHistogram> vhist_;
   std::unique_ptr<ThreadPool> pool_;  // created lazily on first parallel query
 };
 
 /// The filter + refine + merge body of FrEngine::Query against explicit
 /// inputs: a counter slice (live Slice(q_t) or an MVCC materialization)
-/// and an index view (the live index or a SnapshotIndexView over frozen
-/// pages). Both callers run the exact same code path, which is what makes
-/// snapshot answers bit-identical to serialized execution.
+/// and the TPR-tree read inputs of TprTree::RangeQueryFrom — a buffer
+/// pool and a root page (the live tree's, or a private pool over frozen
+/// MVCC pages with the committed root). Both callers run the exact same
+/// code path, which is what makes snapshot answers bit-identical to
+/// serialized execution.
 FrEngine::QueryResult FrQueryCore(
     const Grid& grid, const std::vector<DensityHistogram::Counter>& slice,
-    ObjectIndex& index, ThreadPool* pool, double io_ms, Tick q_t, double rho,
-    double l, bool cold_cache, const QueryControl& ctl);
+    BufferPool& buffers, PageId root, ThreadPool* pool, double io_ms,
+    Tick q_t, double rho, double l, bool cold_cache, const QueryControl& ctl);
 
 }  // namespace pdr
 

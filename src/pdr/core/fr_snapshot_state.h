@@ -2,18 +2,15 @@
 //
 // A commit publishes copy-on-write versions of the bulk data (index
 // pages, histogram rows, Chebyshev cells) *and* one immutable struct of
-// everything else a query reads: the logical clock, the index root, and
-// the B^x read-path parameters. The SnapshotManager carries these as
-// opaque shared_ptrs (mvcc::EpochStates); the snapshot query path
+// everything else a query reads: the logical clock and the TPR-tree
+// root. The SnapshotManager carries these as opaque shared_ptrs
+// (mvcc::EpochStates); the snapshot query path
 // (src/pdr/mvcc/snapshot_query.h) casts back here.
 
 #ifndef PDR_CORE_FR_SNAPSHOT_STATE_H_
 #define PDR_CORE_FR_SNAPSHOT_STATE_H_
 
-#include <cstdint>
-
-#include "pdr/bx/bx_tree.h"
-#include "pdr/core/fr_engine.h"
+#include "pdr/common/geometry.h"
 #include "pdr/storage/pager.h"
 
 namespace pdr {
@@ -22,10 +19,7 @@ namespace pdr {
 /// frozen at commit time by FrEngine::CaptureState().
 struct FrSnapshotState {
   Tick now = 0;                      ///< engine clock at commit
-  IndexKind index = IndexKind::kTprTree;
-  PageId tpr_root = kInvalidPageId;  ///< valid when index == kTprTree
-  BxTree::ReadView bx;               ///< valid when index == kBxTree
-  uint64_t size = 0;                 ///< objects indexed at commit
+  PageId tpr_root = kInvalidPageId;  ///< TPR-tree root at commit
 };
 
 /// PaEngine analogue (the Chebyshev model's read path needs only the

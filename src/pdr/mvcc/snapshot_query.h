@@ -2,10 +2,9 @@
 // epoch while the writer keeps committing.
 //
 // A snapshot FR query builds a private read stack — SnapshotPager over
-// the frozen page versions, its own BufferPool, a SnapshotIndexView
-// dispatching to the trees' static traversals with the frozen root/read
-// view, and the m*m counter slice materialized from frozen histogram
-// rows — then calls the same FrQueryCore the live engine calls. Nothing
+// the frozen page versions, its own BufferPool, the frozen TPR-tree root,
+// and the m*m counter slice materialized from frozen histogram rows —
+// then calls the same FrQueryCore the live engine calls. Nothing
 // mutable is shared with the writer or with other readers, so any number
 // of snapshot queries run concurrently with updates, and each answer is
 // bit-identical to serialized execution at the snapshot's epoch

@@ -222,7 +222,7 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
 
   // Coarse index shape: average indexed entries per allocated page. The
   // +1 page per candidate approximates the root-to-leaf descent.
-  const ObjectIndex& index = fr_->index();
+  const TprTree& index = fr_->index();
   const double entries_per_page =
       index.node_count() > 0
           ? std::max(1.0, static_cast<double>(index.size()) /

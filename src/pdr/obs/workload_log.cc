@@ -24,6 +24,9 @@ constexpr uint8_t kTypeHeader = 1;
 constexpr uint8_t kTypeUpdates = 2;
 constexpr uint8_t kTypeTick = 3;
 
+// The header's index-kind byte: the TPR-tree is the only index.
+constexpr uint8_t kIndexKindTpr = 0;
+
 struct LogFileHeader {
   uint32_t magic = kLogMagic;
   uint32_t version = kLogVersion;
@@ -114,7 +117,9 @@ std::string EncodeHeader(const WorkloadLogHeader& h) {
   PutPod(&payload, h.horizon);
   PutPod(&payload, h.buffer_pages);
   PutPod(&payload, h.io_ms);
-  PutPod(&payload, h.index);
+  // Index kind: always 0 (TPR-tree); the byte stays so the format, the
+  // checked-in captures and their goldens keep their exact bytes.
+  PutPod(&payload, kIndexKindTpr);
   PutPod(&payload, h.poly_side);
   PutPod(&payload, h.degree);
   PutPod(&payload, h.eval_grid);
@@ -126,7 +131,7 @@ std::string EncodeHeader(const WorkloadLogHeader& h) {
   return payload;
 }
 
-WorkloadLogHeader DecodeHeader(ByteReader* reader) {
+WorkloadLogHeader DecodeHeader(ByteReader* reader, const std::string& path) {
   WorkloadLogHeader h;
   h.extent = reader->Get<double>();
   h.num_objects = reader->Get<int32_t>();
@@ -148,7 +153,14 @@ WorkloadLogHeader DecodeHeader(ByteReader* reader) {
   h.horizon = reader->Get<int32_t>();
   h.buffer_pages = reader->Get<uint64_t>();
   h.io_ms = reader->Get<double>();
-  h.index = reader->Get<uint8_t>();
+  const uint8_t index = reader->Get<uint8_t>();
+  if (index != kIndexKindTpr) {
+    throw std::runtime_error(
+        "workload log: unsupported header in " + path + ": index kind " +
+        std::to_string(index) +
+        " (1 was the retired B^x-tree backend; only 0, the TPR-tree, "
+        "replays)");
+  }
   h.poly_side = reader->Get<int32_t>();
   h.degree = reader->Get<int32_t>();
   h.eval_grid = reader->Get<int32_t>();
@@ -468,7 +480,7 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
     ByteReader reader(payload);
     switch (rh.type) {
       case kTypeHeader:
-        log.header = DecodeHeader(&reader);
+        log.header = DecodeHeader(&reader, path);
         saw_header = true;
         break;
       case kTypeUpdates: {

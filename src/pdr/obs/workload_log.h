@@ -97,7 +97,6 @@ struct WorkloadLogHeader {
   int32_t horizon = 120;
   uint64_t buffer_pages = 256;
   double io_ms = 10.0;
-  uint8_t index = 0;  ///< IndexKind as uint8
   int32_t poly_side = 10;
   int32_t degree = 5;
   int32_t eval_grid = 1000;

@@ -23,9 +23,6 @@
 
 #include "pdr/baseline/dense_cell.h"
 #include "pdr/baseline/edq.h"
-#include "pdr/bx/bplus_tree.h"
-#include "pdr/bx/bx_tree.h"
-#include "pdr/bx/zcurve.h"
 #include "pdr/cheb/cheb2d.h"
 #include "pdr/cheb/cheb_grid.h"
 #include "pdr/cheb/chebyshev.h"
@@ -48,7 +45,6 @@
 #include "pdr/fft/raster.h"
 #include "pdr/histogram/density_histogram.h"
 #include "pdr/histogram/filter.h"
-#include "pdr/index/object_index.h"
 #include "pdr/mobility/generator.h"
 #include "pdr/mobility/object.h"
 #include "pdr/mobility/road_network.h"

@@ -30,8 +30,6 @@ FrEngine::Options FrOptionsFromHeader(const WorkloadLogHeader& h,
           .horizon = h.horizon,
           .buffer_pages = static_cast<size_t>(h.buffer_pages),
           .io_ms = h.io_ms,
-          .index = static_cast<IndexKind>(h.index),
-          .max_update_interval = h.max_update_interval,
           .exec = exec};
 }
 

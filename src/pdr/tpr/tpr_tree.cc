@@ -647,16 +647,18 @@ bool TprTree::Delete(ObjectId id) {
 std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQuery(
     const Rect& window, Tick t) const {
   const auto out = RangeQueryFrom(pool_, root_, window, t);
-  // Tree-shape gauges for the monitor report / cost calibration: refreshed
-  // per query so they track splits and condensations without a hook in
-  // every structural operation.
+  PublishShapeGauges();
+  return out;
+}
+
+void TprTree::PublishShapeGauges() const {
+  // Tree-shape gauges for the monitor report / cost calibration.
   static Gauge& height_gauge =
       MetricsRegistry::Global().GetGauge("pdr.tpr.height");
   static Gauge& pages_gauge =
       MetricsRegistry::Global().GetGauge("pdr.tpr.node_pages");
   height_gauge.Set(static_cast<double>(height_));
   pages_gauge.Set(static_cast<double>(node_count_));
-  return out;
 }
 
 std::vector<std::pair<ObjectId, MotionState>> TprTree::RangeQueryFrom(

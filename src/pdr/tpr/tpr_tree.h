@@ -30,7 +30,6 @@
 
 #include "pdr/common/geometry.h"
 #include "pdr/common/stats.h"
-#include "pdr/index/object_index.h"
 #include "pdr/mobility/object.h"
 #include "pdr/storage/buffer_pool.h"
 #include "pdr/storage/fault_injector.h"
@@ -71,7 +70,7 @@ struct Tpbr {
   static constexpr int kAreaSamples = 5;
 };
 
-class TprTree : public ObjectIndex {
+class TprTree {
  public:
   struct Options {
     size_t buffer_pages = 256;   ///< LRU buffer pool capacity
@@ -90,69 +89,75 @@ class TprTree : public ObjectIndex {
   explicit TprTree(const Options& options);
 
   /// Inserts a new object with its reported motion.
-  void Insert(ObjectId id, const MotionState& state) override;
+  void Insert(ObjectId id, const MotionState& state);
 
   /// Removes an object; returns false when it is not present.
-  bool Delete(ObjectId id) override;
+  bool Delete(ObjectId id);
 
   /// Applies a full update event (delete old motion and/or insert new).
-  void Apply(const UpdateEvent& update) override;
+  void Apply(const UpdateEvent& update);
 
   /// Moves the tree's logical clock; heuristics optimize [now, now + H].
-  void AdvanceTo(Tick now) override;
+  void AdvanceTo(Tick now);
   Tick now() const { return now_; }
 
   /// All objects whose predicted position at tick `t` lies inside the
   /// closed rectangle `window`. Read-only; safe to call from many threads
-  /// inside a BeginConcurrentReads/EndConcurrentReads bracket.
+  /// while the buffer pool is in its read phase (BufferPool::BeginReadPhase).
+  /// Also refreshes the shape gauges (PublishShapeGauges).
   std::vector<std::pair<ObjectId, MotionState>> RangeQuery(
-      const Rect& window, Tick t) const override;
+      const Rect& window, Tick t) const;
 
   /// The range query against an explicit (pool, root) pair: the traversal
-  /// needs nothing else, so an MVCC snapshot query can run it over a
-  /// frozen page view (src/pdr/mvcc/) with the exact instance-method code
-  /// path.
+  /// needs nothing else, so FR refinement runs it both over the live tree
+  /// (buffer_pool(), root()) and over a frozen MVCC page view
+  /// (src/pdr/mvcc/) with one code path.
   static std::vector<std::pair<ObjectId, MotionState>> RangeQueryFrom(
       BufferPool& pool, PageId root, const Rect& window, Tick t);
+
+  /// Sets the `pdr.tpr.height` / `pdr.tpr.node_pages` gauges to the
+  /// current shape. Called per query, so the gauges track splits and
+  /// condensations without a hook in every structural operation.
+  void PublishShapeGauges() const;
 
   /// The current root page (frozen into MVCC snapshot state at commit).
   PageId root() const { return root_; }
 
+  /// The buffer pool every node access goes through: the I/O counters,
+  /// the concurrent-reads phase, cache drops, and the flush before an
+  /// MVCC publish all act on it.
+  BufferPool& buffer_pool() const { return pool_; }
+
   /// Number of indexed objects.
-  size_t size() const override { return leaf_of_.size(); }
+  size_t size() const { return leaf_of_.size(); }
 
   /// Root-to-leaf height (1 = root is a leaf).
   int height() const { return height_; }
 
-  size_t node_count() const override { return node_count_; }
+  size_t node_count() const { return node_count_; }
 
   /// Cumulative buffer-pool statistics (reset with ResetIoStats).
-  IoStats io_stats() const override { return pool_.stats(); }
-  void ResetIoStats() override { pool_.ResetStats(); }
-
-  /// Concurrent-reads bracket: flips the buffer pool into its read-mostly
-  /// mode so parallel RangeQuery calls share the pool latch.
-  void BeginConcurrentReads() override { pool_.BeginReadPhase(); }
-  void EndConcurrentReads() override { pool_.EndReadPhase(); }
-  IoStats TakeThreadIoDelta() override { return pool_.TakeThreadIoDelta(); }
+  IoStats io_stats() const { return pool_.stats(); }
+  void ResetIoStats() { pool_.ResetStats(); }
 
   /// Drops the whole buffer cache (cold-start measurement).
-  void DropCaches() override { pool_.Clear(); }
+  void DropCaches() { pool_.Clear(); }
 
-  void FlushBufferPool() override { pool_.FlushAll(); }
+  // Durability: flushes the pool and checkpoints the DiskPager with the
+  // tree's metadata (clock, root, height, node count, object->leaf map) +
+  // `app_meta` as one atomic unit. Checkpoint is a no-op when in-memory.
+  bool durable() const { return disk_ != nullptr; }
+  void Checkpoint(const std::string& app_meta);
 
-  // Durability (ObjectIndex hooks): flushes the pool and checkpoints the
-  // DiskPager with the tree's metadata (clock, root, height, node count,
-  // object->leaf map) + `app_meta` as one atomic unit.
-  bool durable() const override { return disk_ != nullptr; }
-  void Checkpoint(const std::string& app_meta) override;
-  bool recovered() const override;
-  const std::string& recovered_app_meta() const override {
+  /// True when construction recovered pre-existing durable state; the
+  /// caller's `app_meta` from that checkpoint is recovered_app_meta().
+  bool recovered() const;
+  const std::string& recovered_app_meta() const {
     return recovered_app_meta_;
   }
 
   /// The durable store behind the tree (null when in-memory).
-  DiskPager* disk() const override { return disk_; }
+  DiskPager* disk() const { return disk_; }
 
   /// Structural self-check (containment of children in parent TPBRs over
   /// sampled ticks, entry counts, parent pointers, leaf map). Aborts via

@@ -97,6 +97,16 @@ TEST_F(CliTest, UnknownFlagIsRejectedPerCommand) {
   EXPECT_NE(r.output.find("unknown flag --qt for 'monitor'"),
             std::string::npos)
       << r.output;
+
+  // The TPR-tree is the only index: --index is gone from every command.
+  for (const std::string cmd : {"query", "save"}) {
+    const RunResult idx =
+        RunTool(cmd + " --in " + dataset() + " --index tpr");
+    EXPECT_EQ(idx.exit_code, 2) << cmd;
+    EXPECT_NE(idx.output.find("unknown flag --index for '" + cmd + "'"),
+              std::string::npos)
+        << idx.output;
+  }
 }
 
 TEST_F(CliTest, StrayPositionalIsRejected) {

@@ -545,9 +545,7 @@ double SweepRho() {
   return static_cast<double>(kSweepObjects) / (kSweepExtent * kSweepExtent);
 }
 
-class CorruptionSweepTest : public ::testing::TestWithParam<IndexKind> {};
-
-TEST_P(CorruptionSweepTest, EveryLivePageEveryFlipClassHealsBitIdentically) {
+TEST(CorruptionSweepTest, EveryLivePageEveryFlipClassHealsBitIdentically) {
   const bool full = [] {
     const char* env = std::getenv("PDR_CORRUPT_SWEEP");
     return env != nullptr && std::string(env) == "full";
@@ -566,8 +564,6 @@ TEST_P(CorruptionSweepTest, EveryLivePageEveryFlipClassHealsBitIdentically) {
                .horizon = 2 * kSweepU,
                .buffer_pages = 32,
                .io_ms = 10.0,
-               .index = GetParam(),
-               .max_update_interval = kSweepU,
                .storage_dir = dir.path()});
   for (Tick now = 0; now <= ds.duration(); ++now) {
     fr.AdvanceTo(now);
@@ -643,19 +639,9 @@ TEST_P(CorruptionSweepTest, EveryLivePageEveryFlipClassHealsBitIdentically) {
                      .horizon = 2 * kSweepU,
                      .buffer_pages = 32,
                      .io_ms = 10.0,
-                     .index = GetParam(),
-                     .max_update_interval = kSweepU,
                      .storage_dir = dir.path()});
   EXPECT_EQ(FrSuiteTranscript(&reopened, SweepRho(), kSweepL), baseline);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllIndexes, CorruptionSweepTest,
-                         ::testing::Values(IndexKind::kTprTree,
-                                           IndexKind::kBxTree),
-                         [](const auto& info) {
-                           return info.param == IndexKind::kTprTree ? "Tpr"
-                                                                    : "Bx";
-                         });
 
 }  // namespace
 }  // namespace pdr

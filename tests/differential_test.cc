@@ -549,7 +549,6 @@ bool RunMvccScenario(const MvccScenario& s, int objects, int readers,
                .histogram_side = 16,
                .horizon = 24,
                .buffer_pages = 64,
-               .max_update_interval = 6,
                .snapshots = &snapshots});
   WorkloadConfig config;
   config.WithExtent(kExtent);

@@ -169,43 +169,6 @@ TEST(FrEngineTest, IntervalQueryIsUnionOfSnapshots) {
   EXPECT_NEAR(SymmetricDifferenceArea(interval.region, truth), 0.0, 1e-6);
 }
 
-TEST(FrEngineTest, BxBackedRefinementIsExactToo) {
-  // The refinement step is index-agnostic (Section 4): running FR on the
-  // B^x-tree must produce the identical exact answer.
-  FrEngine::Options options = SmallOptions();
-  options.index = IndexKind::kBxTree;
-  options.max_update_interval = 20;
-  FrEngine fr(options);
-  Oracle oracle(kExtent);
-  FeedStatic(fr, oracle,
-             MakeClusteredInserts(1500, 3, kExtent, 6.0, 0.25, 50));
-  for (double rho_scale : {1.0, 4.0}) {
-    const double rho = rho_scale * 1500 / (kExtent * kExtent);
-    const auto result = fr.Query(0, rho, 20.0);
-    const Region truth = oracle.DenseRegions(0, rho, 20.0);
-    ExpectRegionsEqual(result.region, truth, 50 + rho_scale);
-  }
-}
-
-TEST(FrEngineTest, TprAndBxAgreeOnMovingWorkload) {
-  FrEngine::Options tpr_options = SmallOptions();
-  FrEngine::Options bx_options = SmallOptions();
-  bx_options.index = IndexKind::kBxTree;
-  bx_options.max_update_interval = 20;
-  FrEngine fr_tpr(tpr_options);
-  FrEngine fr_bx(bx_options);
-  for (const UpdateEvent& e : MakeUniformInserts(1000, kExtent, 1.0, 51)) {
-    fr_tpr.Apply(e);
-    fr_bx.Apply(e);
-  }
-  const double rho = 3.0 * 1000 / (kExtent * kExtent);
-  for (Tick q_t : {0, 8, 16}) {
-    const Region a = fr_tpr.Query(q_t, rho, 20.0).region;
-    const Region b = fr_bx.Query(q_t, rho, 20.0).region;
-    EXPECT_NEAR(SymmetricDifferenceArea(a, b), 0.0, 1e-9) << "q_t=" << q_t;
-  }
-}
-
 TEST(FrEngineTest, ExactUnderObjectChurn) {
   // Genuine insert/delete events (objects leaving, fresh ones arriving)
   // must keep every structure consistent and the answers exact.
@@ -218,21 +181,15 @@ TEST(FrEngineTest, ExactUnderObjectChurn) {
   config.seed = 52;
   const Dataset ds = GenerateDataset(config, 20);
 
-  for (IndexKind index : {IndexKind::kTprTree, IndexKind::kBxTree}) {
-    FrEngine::Options options = SmallOptions();
-    options.index = index;
-    options.max_update_interval = 10;
-    FrEngine fr(options);
-    Oracle oracle(kExtent);
-    ReplayInto(ds, -1, &fr, &oracle);
-    EXPECT_EQ(fr.index().size(), 600u);
-    const double rho = 4.0 * 600 / (kExtent * kExtent);
-    for (Tick q_t : {20, 26}) {
-      const auto result = fr.Query(q_t, rho, 20.0);
-      const Region truth = oracle.DenseRegions(q_t, rho, 20.0);
-      ExpectRegionsEqual(result.region, truth,
-                         52 + q_t + static_cast<int>(index));
-    }
+  FrEngine fr(SmallOptions());
+  Oracle oracle(kExtent);
+  ReplayInto(ds, -1, &fr, &oracle);
+  EXPECT_EQ(fr.index().size(), 600u);
+  const double rho = 4.0 * 600 / (kExtent * kExtent);
+  for (Tick q_t : {20, 26}) {
+    const auto result = fr.Query(q_t, rho, 20.0);
+    const Region truth = oracle.DenseRegions(q_t, rho, 20.0);
+    ExpectRegionsEqual(result.region, truth, 52 + q_t);
   }
 }
 

@@ -10,9 +10,9 @@
 // reference transcript for each enqueued query BEFORE applying the next
 // batch (while the epoch is still the live state), then hands the pinned
 // snapshot to a reader pool that runs the same query concurrently with
-// later commits, at 1/2/4/8 reader threads, over seeded schedules and
-// both index kinds. Any divergence reports the seed, epoch, and the first
-// differing transcript line.
+// later commits, at 1/2/4/8 reader threads, over seeded schedules. Any
+// divergence reports the seed, epoch, and the first differing transcript
+// line.
 //
 // Also covered: pins keep arbitrarily old epochs readable through
 // reclamation, commit-rate independence from reader pins, cancellation
@@ -63,15 +63,12 @@ struct MvccRig {
   mvcc::SnapshotManager snapshots;
   std::unique_ptr<FrEngine> fr;
 
-  explicit MvccRig(IndexKind index = IndexKind::kTprTree,
-                   Tick horizon = 24) {
+  explicit MvccRig(Tick horizon = 24) {
     fr = std::make_unique<FrEngine>(
         FrEngine::Options{.extent = kExtent,
                           .histogram_side = 16,
                           .horizon = horizon,
                           .buffer_pages = 64,
-                          .index = index,
-                          .max_update_interval = 8,
                           .snapshots = &snapshots});
   }
 
@@ -104,9 +101,8 @@ struct PinnedQuery {
 
 // Seeded writer/reader interleaving at `readers` threads; returns failure
 // descriptions (empty = every snapshot answer was bit-identical).
-std::vector<std::string> RunInterleaving(IndexKind index, uint64_t seed,
-                                         int readers) {
-  MvccRig rig(index);
+std::vector<std::string> RunInterleaving(uint64_t seed, int readers) {
+  MvccRig rig;
   const Dataset ds = StreamDataset(seed);
   const double rho = 4.0 * ds.config.num_objects / (kExtent * kExtent);
   const double l = 25.0;
@@ -209,23 +205,9 @@ std::vector<std::string> RunInterleaving(IndexKind index, uint64_t seed,
 TEST(MvccInterleaveTest, TprSnapshotsBitIdenticalAtEveryReaderCount) {
   for (const int readers : {1, 2, 4, 8}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {
-      const auto failures =
-          RunInterleaving(IndexKind::kTprTree, seed, readers);
+      const auto failures = RunInterleaving(seed, readers);
       for (const std::string& f : failures) {
         ADD_FAILURE() << "tpr readers=" << readers << " seed=" << seed
-                      << ": " << f;
-      }
-    }
-  }
-}
-
-TEST(MvccInterleaveTest, BxSnapshotsBitIdenticalAtEveryReaderCount) {
-  for (const int readers : {1, 2, 4, 8}) {
-    for (uint64_t seed = 11; seed <= 16; ++seed) {
-      const auto failures =
-          RunInterleaving(IndexKind::kBxTree, seed, readers);
-      for (const std::string& f : failures) {
-        ADD_FAILURE() << "bx readers=" << readers << " seed=" << seed
                       << ": " << f;
       }
     }
@@ -307,7 +289,7 @@ TEST(MvccInterleaveTest, PinBeforeFirstCommitThrows) {
 }
 
 TEST(MvccInterleaveTest, HorizonValidatesAgainstFrozenClockNotLive) {
-  MvccRig rig(IndexKind::kTprTree, /*horizon=*/10);
+  MvccRig rig(/*horizon=*/10);
   for (const UpdateEvent& e : MakeUniformInserts(50, kExtent, 1.5, 5)) {
     rig.fr->Apply(e);
   }

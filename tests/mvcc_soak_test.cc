@@ -64,7 +64,6 @@ SoakOutcome RunSoak(uint64_t seed, int readers, Tick duration) {
                                 .histogram_side = 16,
                                 .horizon = 24,
                                 .buffer_pages = 64,
-                                .max_update_interval = 8,
                                 .snapshots = &snapshots});
   WorkloadConfig config;
   config.WithExtent(kExtent);
@@ -177,7 +176,6 @@ TEST(MvccSoakTest, WriterNeverBlocksOnPinnedReader) {
                                 .histogram_side = 16,
                                 .horizon = 24,
                                 .buffer_pages = 64,
-                                .max_update_interval = 8,
                                 .snapshots = &snapshots});
   for (const UpdateEvent& e : MakeUniformInserts(100, kExtent, 1.5, 5)) {
     fr.Apply(e);

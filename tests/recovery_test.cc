@@ -84,15 +84,12 @@ Dataset MakeWorkload() {
   return GenerateDataset(config, kDuration);
 }
 
-FrEngine::Options Opts(IndexKind kind, const std::string& dir,
-                       FaultInjector* injector) {
+FrEngine::Options Opts(const std::string& dir, FaultInjector* injector) {
   return {.extent = kExtent,
           .histogram_side = 20,
           .horizon = 2 * kU,
           .buffer_pages = 32,
           .io_ms = 10.0,
-          .index = kind,
-          .max_update_interval = kU,
           .storage_dir = dir,
           .fault_injector = injector};
 }
@@ -125,15 +122,15 @@ struct SweepBaseline {
   int64_t last_old2 = 0;
 };
 
-SweepBaseline Rehearse(const Dataset& ds, IndexKind kind) {
+SweepBaseline Rehearse(const Dataset& ds) {
   SweepBaseline base;
   {
-    FrEngine mem(Opts(kind, "", nullptr));
+    FrEngine mem(Opts("", nullptr));
     base.empty_t = FrSuiteTranscript(&mem, BaseRho(), kL);
   }
   TempDir dir;
   FaultInjector counter;  // never armed: counts the kill points
-  FrEngine fr(Opts(kind, dir.path(), &counter));
+  FrEngine fr(Opts(dir.path(), &counter));
   Replay(ds, 0, kPhaseSplit, &fr);
   fr.Checkpoint();
   const int64_t ops_before_a = counter.ops_seen();
@@ -167,12 +164,9 @@ SweepBaseline Rehearse(const Dataset& ds, IndexKind kind) {
   return base;
 }
 
-class RecoverySweepTest : public ::testing::TestWithParam<IndexKind> {};
-
-TEST_P(RecoverySweepTest, EveryKillPointRecoversBitIdentically) {
-  const IndexKind kind = GetParam();
+TEST(RecoverySweepTest, EveryKillPointRecoversBitIdentically) {
   const Dataset ds = MakeWorkload();
-  const SweepBaseline base = Rehearse(ds, kind);
+  const SweepBaseline base = Rehearse(ds);
   ASSERT_GT(base.total_ops, 0);
   ASSERT_LT(base.last_old1, base.last_old2);
 
@@ -193,14 +187,14 @@ TEST_P(RecoverySweepTest, EveryKillPointRecoversBitIdentically) {
       inject.Arm(k, mode);
       bool crashed = false;
       try {
-        FrEngine fr(Opts(kind, dir.path(), &inject));
+        FrEngine fr(Opts(dir.path(), &inject));
         RunBothPhases(ds, &fr);
       } catch (const CrashError&) {
         crashed = true;
       }
       ASSERT_TRUE(crashed) << "kill point " << k << " never fired";
 
-      FrEngine recovered(Opts(kind, dir.path(), nullptr));
+      FrEngine recovered(Opts(dir.path(), nullptr));
       const std::string got = FrSuiteTranscript(&recovered, BaseRho(), kL);
       const std::string& want = k <= base.last_old1   ? base.empty_t
                                 : k <= base.last_old2 ? base.a_t
@@ -219,27 +213,26 @@ TEST_P(RecoverySweepTest, EveryKillPointRecoversBitIdentically) {
   EXPECT_GE(cases, base.total_ops);
 }
 
-TEST_P(RecoverySweepTest, RecoveredEngineContinuesToIdenticalFuture) {
+TEST(RecoverySweepTest, RecoveredEngineContinuesToIdenticalFuture) {
   // Crash between the checkpoints, recover at checkpoint 1, then replay
   // phase 2 on the *recovered* engine: it must reach checkpoint-2 answers
   // bit-identically — recovery restores operational state, not just a
   // readable snapshot.
-  const IndexKind kind = GetParam();
   const Dataset ds = MakeWorkload();
-  const SweepBaseline base = Rehearse(ds, kind);
+  const SweepBaseline base = Rehearse(ds);
 
   TempDir dir;
   FaultInjector inject;
   // Kill checkpoint 2's commit flush: its batch never reaches the file.
   inject.Arm(base.last_old2, CrashMode::kClean);
   try {
-    FrEngine fr(Opts(kind, dir.path(), &inject));
+    FrEngine fr(Opts(dir.path(), &inject));
     RunBothPhases(ds, &fr);
     FAIL() << "armed crash did not fire";
   } catch (const CrashError&) {
   }
 
-  FrEngine fr(Opts(kind, dir.path(), nullptr));
+  FrEngine fr(Opts(dir.path(), nullptr));
   ASSERT_TRUE(fr.recovered());
   ASSERT_EQ(FrSuiteTranscript(&fr, BaseRho(), kL), base.a_t);
   Replay(ds, kPhaseSplit + 1, ds.duration(), &fr);
@@ -247,7 +240,7 @@ TEST_P(RecoverySweepTest, RecoveredEngineContinuesToIdenticalFuture) {
   EXPECT_EQ(FrSuiteTranscript(&fr, BaseRho(), kL), base.b_t);
 }
 
-TEST_P(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
+TEST(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
   // The compound failure the trailer layer exists for: a crash after
   // checkpoint 2's durable point (the WAL batch is committed) but before
   // any slot write leaves checkpoint.pdr valid-but-STALE — and then cold
@@ -255,9 +248,8 @@ TEST_P(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
   // detect the damaged slot, heal it from the committed WAL after-image,
   // count it in recovery_stats().pages_repaired, and converge to the
   // checkpoint-2 answers bit-identically.
-  const IndexKind kind = GetParam();
   const Dataset ds = MakeWorkload();
-  const SweepBaseline base = Rehearse(ds, kind);
+  const SweepBaseline base = Rehearse(ds);
 
   TempDir dir;
   FaultInjector inject;
@@ -265,7 +257,7 @@ TEST_P(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
   // durable point), +2 the first slot write of the converge.
   inject.Arm(base.last_old2 + 2, CrashMode::kClean);
   try {
-    FrEngine fr(Opts(kind, dir.path(), &inject));
+    FrEngine fr(Opts(dir.path(), &inject));
     RunBothPhases(ds, &fr);
     FAIL() << "armed crash did not fire";
   } catch (const CrashError&) {
@@ -282,7 +274,7 @@ TEST_P(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
   ASSERT_TRUE(FlipBitInFile(dir.path() + "/data.pdr",
                             SlotOffset(covered) + 123, 5));
 
-  FrEngine fr(Opts(kind, dir.path(), nullptr));
+  FrEngine fr(Opts(dir.path(), nullptr));
   ASSERT_TRUE(fr.recovered());
   const DiskPager* disk = fr.index().disk();
   ASSERT_NE(disk, nullptr);
@@ -290,22 +282,21 @@ TEST_P(RecoverySweepTest, StaleCheckpointWithDamagedDataHealsFromWalRedo) {
   EXPECT_EQ(FrSuiteTranscript(&fr, BaseRho(), kL), base.b_t);
 }
 
-TEST_P(RecoverySweepTest, CrashStormDuringRecoveryStillConverges) {
+TEST(RecoverySweepTest, CrashStormDuringRecoveryStillConverges) {
   // Crash mid-checkpoint-2 *after* the durable point, so recovery has
   // redo work (it re-applies the WAL batch and re-publishes the files).
   // Then crash the recovery itself, at increasing depth, until one
   // completes: every intermediate crash state must still recover to
   // checkpoint-2 answers. Recovery must be idempotent under its own
   // failures.
-  const IndexKind kind = GetParam();
   const Dataset ds = MakeWorkload();
-  const SweepBaseline base = Rehearse(ds, kind);
+  const SweepBaseline base = Rehearse(ds);
 
   TempDir dir;
   FaultInjector inject;
   inject.Arm(base.last_old2 + 2, CrashMode::kTornWrite);
   try {
-    FrEngine fr(Opts(kind, dir.path(), &inject));
+    FrEngine fr(Opts(dir.path(), &inject));
     RunBothPhases(ds, &fr);
     FAIL() << "armed crash did not fire";
   } catch (const CrashError&) {
@@ -317,7 +308,7 @@ TEST_P(RecoverySweepTest, CrashStormDuringRecoveryStillConverges) {
     again.Arm(depth, depth % 2 == 0 ? CrashMode::kClean
                                     : CrashMode::kTornWrite);
     try {
-      FrEngine fr(Opts(kind, dir.path(), &again));
+      FrEngine fr(Opts(dir.path(), &again));
       // Construction finished: recovery ran past fault point `depth`.
       completed = true;
       EXPECT_EQ(FrSuiteTranscript(&fr, BaseRho(), kL), base.b_t);
@@ -329,14 +320,6 @@ TEST_P(RecoverySweepTest, CrashStormDuringRecoveryStillConverges) {
   EXPECT_TRUE(completed) << "recovery never ran fault-free within 200 ops";
 }
 
-INSTANTIATE_TEST_SUITE_P(Indexes, RecoverySweepTest,
-                         ::testing::Values(IndexKind::kTprTree,
-                                           IndexKind::kBxTree),
-                         [](const auto& info) {
-                           return info.param == IndexKind::kTprTree ? "Tpr"
-                                                                    : "Bx";
-                         });
-
 // --------------------------------------------------------------------------
 // Transient-fault sweep: the same kill points as the crash sweep, but the
 // op *fails then succeeds* (FaultInjector::ArmTransient) instead of
@@ -346,12 +329,9 @@ INSTANTIATE_TEST_SUITE_P(Indexes, RecoverySweepTest,
 // takes the clean-checkpoint path — no WAL redo, no torn tail. Retries
 // must never masquerade as crashes (or vice versa).
 
-class TransientSweepTest : public ::testing::TestWithParam<IndexKind> {};
-
-TEST_P(TransientSweepTest, FailThenSucceedAtEveryOpIsInvisible) {
-  const IndexKind kind = GetParam();
+TEST(TransientSweepTest, FailThenSucceedAtEveryOpIsInvisible) {
   const Dataset ds = MakeWorkload();
-  const SweepBaseline base = Rehearse(ds, kind);
+  const SweepBaseline base = Rehearse(ds);
   ASSERT_GT(base.total_ops, 0);
 
   const char* sweep_env = std::getenv("PDR_CRASH_SWEEP");
@@ -364,7 +344,7 @@ TEST_P(TransientSweepTest, FailThenSucceedAtEveryOpIsInvisible) {
     // the armed window, so the op must survive repeated faults too.
     inject.ArmTransient(k, /*failures=*/2);
     {
-      FrEngine fr(Opts(kind, dir.path(), &inject));
+      FrEngine fr(Opts(dir.path(), &inject));
       RunBothPhases(ds, &fr);
       EXPECT_EQ(inject.transient_fired(), 2) << "kill point " << k;
       EXPECT_FALSE(inject.fired()) << "transient fault escalated to a crash";
@@ -375,7 +355,7 @@ TEST_P(TransientSweepTest, FailThenSucceedAtEveryOpIsInvisible) {
     // Reopen with no injector: the durable state must look like any
     // cleanly checkpointed store. Crash recovery finding redo work here
     // would mean the retries corrupted the commit protocol.
-    FrEngine reopened(Opts(kind, dir.path(), nullptr));
+    FrEngine reopened(Opts(dir.path(), nullptr));
     const RecoveryStats& rs = reopened.index().disk()->recovery_stats();
     EXPECT_EQ(rs.batches_applied, 0) << "kill point " << k;
     EXPECT_FALSE(rs.torn_tail) << "kill point " << k;
@@ -384,18 +364,10 @@ TEST_P(TransientSweepTest, FailThenSucceedAtEveryOpIsInvisible) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Indexes, TransientSweepTest,
-                         ::testing::Values(IndexKind::kTprTree,
-                                           IndexKind::kBxTree),
-                         [](const auto& info) {
-                           return info.param == IndexKind::kTprTree ? "Tpr"
-                                                                    : "Bx";
-                         });
-
 TEST(MonitorDurabilityTest, CheckpointHookDrivesCadence) {
   const Dataset ds = MakeWorkload();
   TempDir dir;
-  FrEngine fr(Opts(IndexKind::kTprTree, dir.path(), nullptr));
+  FrEngine fr(Opts(dir.path(), nullptr));
   PdrMonitor monitor(&fr, {.rho = BaseRho(), .l = kL, .lookahead = 2});
   monitor.SetCheckpointHook([&fr] { fr.Checkpoint(); }, /*every_ticks=*/4);
 
@@ -434,7 +406,7 @@ TEST(CrashDumpTest, InjectedCrashWritesFlightRecorderDump) {
 
   FaultInjector inject;
   {
-    FrEngine fr(Opts(IndexKind::kTprTree, store.path(), &inject));
+    FrEngine fr(Opts(store.path(), &inject));
     Replay(ds, 0, kPhaseSplit, &fr);
     inject.Arm(inject.ops_seen() + 1, CrashMode::kClean);
     EXPECT_THROW(fr.Checkpoint(), CrashError);
@@ -457,7 +429,7 @@ TEST(CrashDumpTest, InjectedCrashWritesFlightRecorderDump) {
   std::fclose(trace);
 
   // Recovery still works after the dump: the reopened store answers.
-  FrEngine recovered(Opts(IndexKind::kTprTree, store.path(), nullptr));
+  FrEngine recovered(Opts(store.path(), nullptr));
   EXPECT_GE(recovered.Query(kPhaseSplit, BaseRho(), kL).region.size(), 0u);
 
   FlightRecorder::SetEnabled(false);
@@ -506,7 +478,7 @@ TEST(CrashDumpTest, CrashBundleReplaysToSameSignatures) {
 
   FaultInjector inject;
   {
-    FrEngine fr(Opts(IndexKind::kTprTree, store.path(), &inject));
+    FrEngine fr(Opts(store.path(), &inject));
     PdrMonitor monitor(&fr, {.rho = BaseRho(), .l = kL, .lookahead = 2});
     WorkloadRecorder recorder(store.path() + "/run.wlog", header);
     monitor.SetRecorder(&recorder);

@@ -18,6 +18,7 @@
 #include "pdr/mobility/generator.h"
 #include "pdr/obs/workload_log.h"
 #include "pdr/replay/replayer.h"
+#include "pdr/storage/serde.h"
 
 namespace pdr {
 namespace {
@@ -204,6 +205,45 @@ TEST(WorkloadLogTest, BadMagicAndMissingFileAreRejected) {
   const std::string junk = dir.path() + "/junk.wlog";
   WriteAll(junk, "this is not a workload log at all");
   EXPECT_THROW(WorkloadLog::Load(junk), std::runtime_error);
+
+  // The header's index byte must be 0 (TPR-tree). A header-only log is
+  // the 8-byte file header, one 24-byte record header (checksum at +16),
+  // then the header payload; a distinctive io_ms locates the index byte
+  // that follows it. Each bad value is re-sealed with a valid checksum,
+  // so the index byte alone causes the refusal.
+  WorkloadLogHeader header = SmallHeader();
+  header.io_ms = 12.375;
+  const std::string good = dir.path() + "/good.wlog";
+  { WorkloadRecorder recorder(good, header); }
+  EXPECT_NO_THROW(WorkloadLog::Load(good));
+  const std::string bytes = ReadAll(good);
+  const std::string io_bits(reinterpret_cast<const char*>(&header.io_ms),
+                            sizeof(header.io_ms));
+  const size_t index_at = bytes.find(io_bits) + sizeof(header.io_ms);
+  ASSERT_LT(index_at, bytes.size());
+  ASSERT_EQ(bytes[index_at], 0);
+  constexpr size_t kPayloadAt = 8 + 24;
+  for (const uint8_t index : {uint8_t{1}, uint8_t{7}}) {
+    std::string bad = bytes;
+    bad[index_at] = static_cast<char>(index);
+    const uint8_t type = 1;  // header record
+    const uint32_t len = static_cast<uint32_t>(bad.size() - kPayloadAt);
+    uint64_t checksum = Fnv1a64(&type, sizeof(type));
+    checksum = Fnv1a64(&len, sizeof(len), checksum);
+    checksum = Fnv1a64(bad.data() + kPayloadAt, len, checksum);
+    bad.replace(8 + 16, sizeof(checksum),
+                reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    const std::string path = dir.path() + "/index.wlog";
+    WriteAll(path, bad);
+    try {
+      WorkloadLog::Load(path);
+      ADD_FAILURE() << "index byte " << int{index} << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported header"), std::string::npos) << what;
+      EXPECT_NE(what.find("retired B^x-tree"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(WorkloadLogTest, TickDigestCoversAnswerBitsButNotWallTime) {
