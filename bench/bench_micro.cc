@@ -111,6 +111,33 @@ void BM_SweepCell(benchmark::State& state) {
 }
 BENCHMARK(BM_SweepCell)->Arg(64)->Arg(512)->Arg(4096);
 
+// Dense-output hotspot: an 8x8 lattice of tight clusters (spacing 1.25,
+// jitter +-0.4, l = 1) with a threshold of half a cluster, so nearly every
+// X-strip reports many short dense runs (~8 at n = 512, ~17 at n = 4096).
+// Prices the adversarial case of the output-sensitive sweep.
+void BM_SweepCellClustered(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(9);
+  std::vector<Vec2> positions;
+  positions.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    const double cx = 0.625 + 1.25 * static_cast<double>(rng.UniformInt(0, 7));
+    const double cy = 0.625 + 1.25 * static_cast<double>(rng.UniformInt(0, 7));
+    positions.push_back(
+        {cx + rng.Uniform(-0.4, 0.4), cy + rng.Uniform(-0.4, 0.4)});
+  }
+  const Rect cell(0, 0, 10, 10);
+  SweepStats stats;
+  for (auto _ : state) {
+    stats = SweepStats();
+    benchmark::DoNotOptimize(SweepCell(cell, positions, 1.0, n / 128, &stats));
+  }
+  state.counters["runs_per_strip"] =
+      static_cast<double>(stats.dense_rects) / stats.y_sweeps;
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SweepCellClustered)->Arg(512)->Arg(4096);
+
 void BM_Cheb2DEval(benchmark::State& state) {
   Cheb2D poly(5);
   Rng rng(6);

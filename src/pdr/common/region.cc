@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 namespace pdr {
@@ -30,48 +31,62 @@ std::vector<XEvent> BuildEvents(const std::vector<Rect>& rects) {
   return events;
 }
 
-// Multiset of active y-intervals with O(a log a) merged-union extraction.
+using Intervals = std::vector<std::pair<double, double>>;
+
+// Multiset of active y-intervals, kept as a sorted contiguous vector
+// (ordered by lo then hi, which is exactly what merging needs).
 class ActiveIntervals {
  public:
-  void Add(double lo, double hi) { ++intervals_[{lo, hi}]; }
+  void Add(double lo, double hi) {
+    const std::pair<double, double> iv{lo, hi};
+    intervals_.insert(
+        std::upper_bound(intervals_.begin(), intervals_.end(), iv), iv);
+  }
 
+  /// Removes the latest-added copy of [lo, hi), so the earliest surviving
+  /// copy of equal intervals is the one MergedUnion reports.
   void Remove(double lo, double hi) {
-    auto it = intervals_.find({lo, hi});
-    assert(it != intervals_.end());
-    if (--it->second == 0) intervals_.erase(it);
+    const std::pair<double, double> iv{lo, hi};
+    auto it = std::upper_bound(intervals_.begin(), intervals_.end(), iv);
+    assert(it != intervals_.begin() && *std::prev(it) == iv);
+    intervals_.erase(std::prev(it));
+  }
+
+  /// Applies one slab boundary: opens or closes its y-interval.
+  void Apply(const XEvent& e) {
+    if (e.open) {
+      Add(e.y_lo, e.y_hi);
+    } else {
+      Remove(e.y_lo, e.y_hi);
+    }
   }
 
   bool Empty() const { return intervals_.empty(); }
 
-  /// Disjoint sorted union of the active intervals.
-  std::vector<std::pair<double, double>> MergedUnion() const {
-    std::vector<std::pair<double, double>> merged;
-    merged.reserve(intervals_.size());
-    for (const auto& [iv, count] : intervals_) {
-      (void)count;
-      if (!merged.empty() && iv.first <= merged.back().second) {
-        merged.back().second = std::max(merged.back().second, iv.second);
+  /// Disjoint sorted union of the active intervals into `merged`.
+  void MergedUnion(Intervals* merged) const {
+    merged->clear();
+    for (const auto& iv : intervals_) {
+      if (!merged->empty() && iv.first <= merged->back().second) {
+        merged->back().second = std::max(merged->back().second, iv.second);
       } else {
-        merged.push_back(iv);
+        merged->push_back(iv);
       }
     }
-    return merged;
   }
 
-  double UnionLength() const {
+  double UnionLength(Intervals* scratch) const {
+    MergedUnion(scratch);
     double len = 0;
-    for (const auto& [lo, hi] : MergedUnion()) len += hi - lo;
+    for (const auto& [lo, hi] : *scratch) len += hi - lo;
     return len;
   }
 
  private:
-  // Keyed map acts as an ordered multiset of (lo, hi) with multiplicities;
-  // ordered by lo then hi, which is exactly what merging needs.
-  std::map<std::pair<double, double>, int> intervals_;
+  Intervals intervals_;
 };
 
-double MergedOverlapLength(const std::vector<std::pair<double, double>>& a,
-                           const std::vector<std::pair<double, double>>& b) {
+double MergedOverlapLength(const Intervals& a, const Intervals& b) {
   double len = 0;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
@@ -138,36 +153,30 @@ Region Region::Coalesced() const {
     double y_hi;
   };
   std::vector<OpenRect> open;  // rects still extending rightward
+  std::vector<OpenRect> still_open;
+  Intervals merged;
+  std::vector<bool> continued;
   Region out;
 
   size_t i = 0;
   while (i < events.size()) {
     const double x = events[i].x;
-    while (i < events.size() && events[i].x == x) {
-      if (events[i].open) {
-        active.Add(events[i].y_lo, events[i].y_hi);
-      } else {
-        active.Remove(events[i].y_lo, events[i].y_hi);
-      }
-      ++i;
-    }
-    const auto merged = active.MergedUnion();
+    while (i < events.size() && events[i].x == x) active.Apply(events[i++]);
+    active.MergedUnion(&merged);
     // Close every open rect whose interval is not exactly present anymore,
-    // keep those that continue, open the new ones.
-    std::vector<OpenRect> still_open;
-    still_open.reserve(merged.size());
-    std::vector<bool> continued(merged.size(), false);
+    // keep those that continue, open the new ones. The merged intervals
+    // are disjoint and sorted, so an open rect can only continue as the
+    // one merged interval starting at its y_lo.
+    still_open.clear();
+    continued.assign(merged.size(), false);
     for (const OpenRect& o : open) {
-      bool keep = false;
-      for (size_t k = 0; k < merged.size(); ++k) {
-        if (!continued[k] && merged[k].first == o.y_lo &&
-            merged[k].second == o.y_hi) {
-          continued[k] = true;
-          keep = true;
-          break;
-        }
-      }
-      if (keep) {
+      const auto it = std::lower_bound(
+          merged.begin(), merged.end(), o.y_lo,
+          [](const auto& iv, double y) { return iv.first < y; });
+      const size_t k = it - merged.begin();
+      if (it != merged.end() && !continued[k] && it->first == o.y_lo &&
+          it->second == o.y_hi) {
+        continued[k] = true;
         still_open.push_back(o);
       } else if (x > o.x_start) {
         out.Add(Rect(o.x_start, o.y_lo, x, o.y_hi));
@@ -178,7 +187,7 @@ Region Region::Coalesced() const {
         still_open.push_back({x, merged[k].first, merged[k].second});
       }
     }
-    open = std::move(still_open);
+    open.swap(still_open);
   }
   assert(open.empty());
   return out;
@@ -199,20 +208,14 @@ double UnionArea(const std::vector<Rect>& rects) {
   std::vector<XEvent> events = BuildEvents(rects);
   if (events.empty()) return 0.0;
   ActiveIntervals active;
+  Intervals scratch;
   double area = 0.0;
   double prev_x = events.front().x;
   size_t i = 0;
   while (i < events.size()) {
     const double x = events[i].x;
-    area += active.UnionLength() * (x - prev_x);
-    while (i < events.size() && events[i].x == x) {
-      if (events[i].open) {
-        active.Add(events[i].y_lo, events[i].y_hi);
-      } else {
-        active.Remove(events[i].y_lo, events[i].y_hi);
-      }
-      ++i;
-    }
+    area += active.UnionLength(&scratch) * (x - prev_x);
+    while (i < events.size() && events[i].x == x) active.Apply(events[i++]);
     prev_x = x;
   }
   return area;
@@ -225,6 +228,8 @@ double IntersectionArea(const Region& a, const Region& b) {
 
   ActiveIntervals active_a;
   ActiveIntervals active_b;
+  Intervals merged_a;
+  Intervals merged_b;
   double area = 0.0;
   size_t i = 0, j = 0;
   double prev_x = std::min(ea.front().x, eb.front().x);
@@ -233,26 +238,12 @@ double IntersectionArea(const Region& a, const Region& b) {
         i < ea.size() ? ea[i].x : std::numeric_limits<double>::infinity(),
         j < eb.size() ? eb[j].x : std::numeric_limits<double>::infinity());
     if (!active_a.Empty() && !active_b.Empty()) {
-      area += MergedOverlapLength(active_a.MergedUnion(),
-                                  active_b.MergedUnion()) *
-              (x - prev_x);
+      active_a.MergedUnion(&merged_a);
+      active_b.MergedUnion(&merged_b);
+      area += MergedOverlapLength(merged_a, merged_b) * (x - prev_x);
     }
-    while (i < ea.size() && ea[i].x == x) {
-      if (ea[i].open) {
-        active_a.Add(ea[i].y_lo, ea[i].y_hi);
-      } else {
-        active_a.Remove(ea[i].y_lo, ea[i].y_hi);
-      }
-      ++i;
-    }
-    while (j < eb.size() && eb[j].x == x) {
-      if (eb[j].open) {
-        active_b.Add(eb[j].y_lo, eb[j].y_hi);
-      } else {
-        active_b.Remove(eb[j].y_lo, eb[j].y_hi);
-      }
-      ++j;
-    }
+    while (i < ea.size() && ea[i].x == x) active_a.Apply(ea[i++]);
+    while (j < eb.size() && eb[j].x == x) active_b.Apply(eb[j++]);
     prev_x = x;
   }
   return area;
@@ -265,10 +256,8 @@ double DifferenceArea(const Region& a, const Region& b) {
 namespace {
 
 /// Sorted disjoint intervals of `a` minus `b` (both sorted disjoint).
-std::vector<std::pair<double, double>> IntervalDifference(
-    const std::vector<std::pair<double, double>>& a,
-    const std::vector<std::pair<double, double>>& b) {
-  std::vector<std::pair<double, double>> out;
+Intervals IntervalDifference(const Intervals& a, const Intervals& b) {
+  Intervals out;
   size_t j = 0;
   for (auto [lo, hi] : a) {
     double cursor = lo;
@@ -285,10 +274,8 @@ std::vector<std::pair<double, double>> IntervalDifference(
   return out;
 }
 
-std::vector<std::pair<double, double>> IntervalIntersection(
-    const std::vector<std::pair<double, double>>& a,
-    const std::vector<std::pair<double, double>>& b) {
-  std::vector<std::pair<double, double>> out;
+Intervals IntervalIntersection(const Intervals& a, const Intervals& b) {
+  Intervals out;
   size_t i = 0, j = 0;
   while (i < a.size() && j < b.size()) {
     const double lo = std::max(a[i].first, b[j].first);
@@ -313,6 +300,8 @@ Region BooleanCombine(const Region& a, const Region& b,
   std::vector<XEvent> eb = BuildEvents(b.rects());
   ActiveIntervals active_a;
   ActiveIntervals active_b;
+  Intervals merged_a;
+  Intervals merged_b;
   Region out;
   size_t i = 0, j = 0;
   double prev_x = 0;
@@ -322,27 +311,14 @@ Region BooleanCombine(const Region& a, const Region& b,
         i < ea.size() ? ea[i].x : std::numeric_limits<double>::infinity(),
         j < eb.size() ? eb[j].x : std::numeric_limits<double>::infinity());
     if (have_prev && x > prev_x) {
-      for (const auto& [lo, hi] :
-           combine(active_a.MergedUnion(), active_b.MergedUnion())) {
+      active_a.MergedUnion(&merged_a);
+      active_b.MergedUnion(&merged_b);
+      for (const auto& [lo, hi] : combine(merged_a, merged_b)) {
         out.Add(Rect(prev_x, lo, x, hi));
       }
     }
-    while (i < ea.size() && ea[i].x == x) {
-      if (ea[i].open) {
-        active_a.Add(ea[i].y_lo, ea[i].y_hi);
-      } else {
-        active_a.Remove(ea[i].y_lo, ea[i].y_hi);
-      }
-      ++i;
-    }
-    while (j < eb.size() && eb[j].x == x) {
-      if (eb[j].open) {
-        active_b.Add(eb[j].y_lo, eb[j].y_hi);
-      } else {
-        active_b.Remove(eb[j].y_lo, eb[j].y_hi);
-      }
-      ++j;
-    }
+    while (i < ea.size() && ea[i].x == x) active_a.Apply(ea[i++]);
+    while (j < eb.size() && eb[j].x == x) active_b.Apply(eb[j++]);
     prev_x = x;
     have_prev = true;
   }

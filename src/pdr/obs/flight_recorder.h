@@ -64,6 +64,7 @@ enum class FrEvent : uint8_t {
   kCellBegin,       ///< a = col<<32 | row
   kCellEnd,         ///< a = col<<32 | row, b = objects<<32 | rects
   kSweep,           ///< a = x_strips<<32 | y_sweeps, b = y_strips<<32 | rects
+                    ///< (y_strips = segment-tree nodes the reports visit)
   kBnbPrune,        ///< a = macro cell index, b = boxes pruned in the cell
   kPageFault,       ///< a = page id, b = 1 physical miss / 0 logical
   kWalAppend,       ///< a = lsn, b = bytes appended

@@ -1,8 +1,6 @@
 #include "pdr/sweep/plane_sweep.h"
 
 #include <algorithm>
-#include <cassert>
-#include <set>
 
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
@@ -27,56 +25,82 @@ std::vector<double> BuildEvents(double lo, double hi,
   return events;
 }
 
-}  // namespace
+/// Segment tree over the Y strips [ys[j], ys[j+1]) of one cell, holding
+/// how many band members' squares cover each strip. There is no lazy
+/// push-down: a node's `max`/`min` include its own `add`, so a descent
+/// carries the sum of its ancestors' adds.
+class CoverTree {
+ public:
+  explicit CoverTree(int leaves) : leaves_(leaves), nodes_(4 * leaves) {}
 
-std::vector<std::pair<double, double>> SweepY(
-    const std::vector<double>& sorted_ys, double y_b, double y_t, double l,
-    int64_t n_min, SweepStats* stats, const QueryControl* ctl) {
-  assert(std::is_sorted(sorted_ys.begin(), sorted_ys.end()));
-  // The object at oy is inside the square centered at y iff
-  // oy - l/2 <= y < oy + l/2. Count strictly in terms of the *computed*
-  // entry (oy - l/2) and exit (oy + l/2) coordinates — the same values
-  // that define the stopping events — so that membership flips exactly at
-  // the events. (Re-deriving the window as [y - l/2, y + l/2] from the
-  // strip coordinate rounds differently and can keep an object one strip
-  // past its own exit event.)
-  std::vector<double> entries, exits;
-  entries.reserve(sorted_ys.size());
-  exits.reserve(sorted_ys.size());
-  std::vector<double> candidates;
-  candidates.reserve(sorted_ys.size() * 2);
-  for (double oy : sorted_ys) {
-    entries.push_back(oy - l / 2);
-    exits.push_back(oy + l / 2);
-    candidates.push_back(oy - l / 2);
-    candidates.push_back(oy + l / 2);
+  /// Adds `delta` to every strip in [lo, hi).
+  void Add(int lo, int hi, int delta) {
+    if (lo < hi) Add(1, 0, leaves_, lo, hi, delta);
   }
-  std::sort(entries.begin(), entries.end());
-  std::sort(exits.begin(), exits.end());
-  const std::vector<double> events = BuildEvents(y_b, y_t, candidates);
 
-  std::vector<std::pair<double, double>> dense;
-  for (size_t j = 0; j + 1 < events.size(); ++j) {
-    if (ctl != nullptr) ctl->Check();  // cancellation point per Y-strip
-    if (stats != nullptr) ++stats->y_strips;
-    const double y = events[j];
-    const int64_t entered =
-        std::upper_bound(entries.begin(), entries.end(), y) - entries.begin();
-    const int64_t exited =
-        std::upper_bound(exits.begin(), exits.end(), y) - exits.begin();
-    const int64_t count = entered - exited;
-    if (count >= n_min) {
-      if (!dense.empty() && dense.back().second == y) {
-        dense.back().second = events[j + 1];  // extend the previous segment
-      } else {
-        dense.emplace_back(y, events[j + 1]);
+  /// Calls emit(lo, hi) for the maximal runs of strips with count >= n_min,
+  /// in increasing order; returns the number of nodes visited.
+  template <typename Emit>
+  int64_t Report(int64_t n_min, const Emit& emit) const {
+    if (leaves_ == 0) return 0;
+    int64_t visits = 0;
+    int run_lo = 0;
+    int run_hi = -1;  // no run open
+    const auto dense = [&](int lo, int hi) {
+      if (lo != run_hi) {
+        if (run_hi >= 0) emit(run_lo, run_hi);
+        run_lo = lo;
       }
-    }
+      run_hi = hi;
+    };
+    Report(1, 0, leaves_, 0, n_min, dense, &visits);
+    if (run_hi >= 0) emit(run_lo, run_hi);
+    return visits;
   }
-  return dense;
-}
 
-namespace {
+ private:
+  struct Node {
+    int32_t add = 0;
+    int32_t max = 0;
+    int32_t min = 0;
+  };
+
+  void Add(int v, int nlo, int nhi, int lo, int hi, int delta) {
+    Node& node = nodes_[v];
+    if (lo <= nlo && nhi <= hi) {
+      node.add += delta;
+      node.max += delta;
+      node.min += delta;
+      return;
+    }
+    const int mid = (nlo + nhi) / 2;
+    if (lo < mid) Add(2 * v, nlo, mid, lo, hi, delta);
+    if (hi > mid) Add(2 * v + 1, mid, nhi, lo, hi, delta);
+    const Node& a = nodes_[2 * v];
+    const Node& b = nodes_[2 * v + 1];
+    node.max = node.add + std::max(a.max, b.max);
+    node.min = node.add + std::min(a.min, b.min);
+  }
+
+  template <typename Dense>
+  void Report(int v, int nlo, int nhi, int64_t above, int64_t n_min,
+              const Dense& dense, int64_t* visits) const {
+    ++*visits;
+    const Node& node = nodes_[v];
+    if (above + node.max < n_min) return;
+    if (above + node.min >= n_min) {  // a leaf (min == max) stops here
+      dense(nlo, nhi);
+      return;
+    }
+    const int mid = (nlo + nhi) / 2;
+    above += node.add;
+    Report(2 * v, nlo, mid, above, n_min, dense, visits);
+    Report(2 * v + 1, mid, nhi, above, n_min, dense, visits);
+  }
+
+  int leaves_;
+  std::vector<Node> nodes_;
+};
 
 std::vector<Rect> SweepCellImpl(const Rect& cell,
                                 const std::vector<Vec2>& positions, double l,
@@ -91,63 +115,81 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
   }
   if (static_cast<int64_t>(positions.size()) < n_min) return result;
 
+  // Y strips of the cell. An object at oy is inside the square centered
+  // at y iff oy - l/2 <= y < oy + l/2, so it covers exactly the strips
+  // starting in [oy - l/2, oy + l/2). Membership is decided by the
+  // *computed* entry and exit coordinates — the same doubles that define
+  // the stopping events — so it flips exactly at the events. (Re-deriving
+  // the window as [y - l/2, y + l/2] from the strip coordinate rounds
+  // differently and can keep an object one strip past its own exit.)
+  std::vector<double> y_candidates;
+  y_candidates.reserve(positions.size() * 2);
+  for (const Vec2& p : positions) {
+    y_candidates.push_back(p.y - l / 2);
+    y_candidates.push_back(p.y + l / 2);
+  }
+  const std::vector<double> ys =
+      BuildEvents(cell.y_lo, cell.y_hi, y_candidates);
+  const int leaves = static_cast<int>(ys.size()) - 1;
+  const auto strip_of = [&](double y) {
+    const auto it = std::lower_bound(ys.begin(), ys.end(), y);
+    return std::min(static_cast<int>(it - ys.begin()), leaves);
+  };
+
   // Entry/exit event lists for incremental band membership: an object at
   // ox is inside the band centered at x iff ox - l/2 <= x < ox + l/2.
-  struct ByEntry {
-    double entry;
-    double y;
+  struct BandEvent {
+    double x;
+    int y_lo;  // covered Y strips [y_lo, y_hi)
+    int y_hi;
+    bool operator<(const BandEvent& o) const { return x < o.x; }
   };
-  std::vector<ByEntry> by_entry;
+  std::vector<BandEvent> by_entry;
+  std::vector<BandEvent> by_exit;
   by_entry.reserve(positions.size());
-  std::vector<std::pair<double, double>> by_exit;  // (exit coordinate, y)
   by_exit.reserve(positions.size());
   std::vector<double> x_candidates;
   x_candidates.reserve(positions.size() * 2);
   for (const Vec2& p : positions) {
-    by_entry.push_back({p.x - l / 2, p.y});
-    by_exit.emplace_back(p.x + l / 2, p.y);
+    const int y_lo = strip_of(p.y - l / 2);
+    const int y_hi = strip_of(p.y + l / 2);
+    by_entry.push_back({p.x - l / 2, y_lo, y_hi});
+    by_exit.push_back({p.x + l / 2, y_lo, y_hi});
     x_candidates.push_back(p.x - l / 2);
     x_candidates.push_back(p.x + l / 2);
   }
-  std::sort(by_entry.begin(), by_entry.end(),
-            [](const ByEntry& a, const ByEntry& b) { return a.entry < b.entry; });
+  std::sort(by_entry.begin(), by_entry.end());
   std::sort(by_exit.begin(), by_exit.end());
 
-  const std::vector<double> events =
+  const std::vector<double> xs =
       BuildEvents(cell.x_lo, cell.x_hi, x_candidates);
 
-  // Ordered multiset of y-coordinates of current band members.
-  std::multiset<double> band_ys;
+  CoverTree cover(leaves);
+  int64_t band = 0;  // current band population
   size_t next_entry = 0;
   size_t next_exit = 0;
-
-  std::vector<double> ys;  // reused scratch for dense strips
-  for (size_t i = 0; i + 1 < events.size(); ++i) {
+  for (size_t i = 0; i + 1 < xs.size(); ++i) {
     if (ctl != nullptr) ctl->Check();  // cancellation point per X-strip
-    const double x = events[i];
+    const double x = xs[i];
     if (stats != nullptr) ++stats->x_strips;
     // Admit objects whose entry coordinate has been reached...
-    while (next_entry < by_entry.size() && by_entry[next_entry].entry <= x) {
-      band_ys.insert(by_entry[next_entry].y);
-      ++next_entry;
+    for (; next_entry < by_entry.size() && by_entry[next_entry].x <= x;
+         ++next_entry, ++band) {
+      cover.Add(by_entry[next_entry].y_lo, by_entry[next_entry].y_hi, +1);
     }
     // ...and expel objects whose exit coordinate has been reached.
-    while (next_exit < by_exit.size() && by_exit[next_exit].first <= x) {
-      auto it = band_ys.find(by_exit[next_exit].second);
-      assert(it != band_ys.end());
-      band_ys.erase(it);
-      ++next_exit;
+    for (; next_exit < by_exit.size() && by_exit[next_exit].x <= x;
+         ++next_exit, --band) {
+      cover.Add(by_exit[next_exit].y_lo, by_exit[next_exit].y_hi, -1);
     }
-    if (static_cast<int64_t>(band_ys.size()) < n_min) continue;
+    if (band < n_min) continue;
     if (stats != nullptr) ++stats->y_sweeps;
 
-    ys.assign(band_ys.begin(), band_ys.end());
-    const auto segments =
-        SweepY(ys, cell.y_lo, cell.y_hi, l, n_min, stats, ctl);
-    for (const auto& [y_lo, y_hi] : segments) {
-      result.emplace_back(x, y_lo, events[i + 1], y_hi);
+    const int64_t visits = cover.Report(n_min, [&](int lo, int hi) {
+      result.emplace_back(x, ys[lo], xs[i + 1], ys[hi]);
       if (stats != nullptr) ++stats->dense_rects;
-    }
+    });
+    if (stats != nullptr) stats->y_strips += visits;
   }
   return result;
 }

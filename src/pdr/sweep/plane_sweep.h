@@ -9,14 +9,20 @@
 // With the paper's half-open square semantics, an object at ox is inside
 // the band iff ox - l/2 <= x < ox + l/2, so band membership (and therefore
 // point density, Lemma 1) is piecewise constant between the "stopping
-// events" {ox +- l/2}. For every maximal strip whose band population can
-// meet the threshold, a second sweep runs along Y over the band members
-// (Lemma 2), yielding dense segments [y_j, y_{j+1}) and hence dense
-// rectangles [x_i, x_{i+1}) x [y_j, y_{j+1}).
+// events" {ox +- l/2}. The same holds along Y (Lemma 2), so the cell is cut
+// into a grid of strips [x_i, x_{i+1}) x [y_j, y_{j+1}) on which the
+// density is constant.
 //
-// Band membership is maintained incrementally with entry/exit event lists
-// and an ordered multiset of member y-coordinates, so a cell with k nearby
-// objects costs O(k log k + sum over dense strips of the Y-sweep).
+// Both levels of the paper's sweep run as one X sweep over a segment tree
+// whose leaves are the cell's Y strips (every object's {oy +- l/2} inside
+// the cell). An object entering or leaving the band adds +1 or -1 over the
+// Y strips its square covers; each node keeps its pending add and the max
+// and min count below it. At every X-strip whose band population meets
+// n_min, the report descends only into nodes whose max reaches n_min and
+// emits a whole node once its min does, yielding the maximal dense Y runs
+// [y_lo, y_hi) and hence the dense rectangles [x_i, x_{i+1}) x [y_lo, y_hi).
+// A cell with k nearby objects and r reported rectangles costs
+// O((k + r) log k).
 
 #ifndef PDR_SWEEP_PLANE_SWEEP_H_
 #define PDR_SWEEP_PLANE_SWEEP_H_
@@ -33,7 +39,7 @@ namespace pdr {
 struct SweepStats {
   int64_t x_strips = 0;    ///< strips between consecutive X events
   int64_t y_sweeps = 0;    ///< strips whose band population met n_min
-  int64_t y_strips = 0;    ///< Y strips examined across all Y sweeps
+  int64_t y_strips = 0;    ///< segment-tree nodes visited by the reports
   int64_t dense_rects = 0; ///< rectangles emitted
 
   SweepStats& operator+=(const SweepStats& o) {
@@ -53,21 +59,14 @@ struct SweepStats {
 /// The returned rectangles are half-open, disjoint in x-strips, and clipped
 /// to `cell`.
 ///
-/// `ctl` (optional) is polled once per X-strip — and inside each Y-sweep
-/// per Y-strip — so a deadline-bounded query abandons the sweep within one
-/// strip of expiry (CancelledError).
+/// `ctl` (optional) is polled once per X-strip, so a deadline-bounded query
+/// abandons the sweep within one strip of expiry (CancelledError). One
+/// strip is a segment-tree update plus at most one O((1 + runs) log k)
+/// report.
 std::vector<Rect> SweepCell(const Rect& cell,
                             const std::vector<Vec2>& positions, double l,
                             int64_t n_min, SweepStats* stats = nullptr,
                             const QueryControl* ctl = nullptr);
-
-/// Y-sweep over one band (Algorithm 3), exposed for testing: given the
-/// sorted y-coordinates of the band's members, returns maximal dense
-/// segments [y_lo, y_hi) within [y_b, y_t). `ctl` is polled per Y-strip.
-std::vector<std::pair<double, double>> SweepY(
-    const std::vector<double>& sorted_ys, double y_b, double y_t, double l,
-    int64_t n_min, SweepStats* stats = nullptr,
-    const QueryControl* ctl = nullptr);
 
 }  // namespace pdr
 
