@@ -7,10 +7,14 @@
 //      candidate from the conservative and expansive neighborhood counts
 //      (Algorithm 1). Accepted cells enter the answer whole; rejected
 //      cells are discarded.
-//   2. Refine: for each candidate cell, run a spatio-temporal range query
-//      over the TPR-tree with the cell expanded by l/2 (the square S of
-//      Section 5.3), then the two-level plane sweep (Algorithms 2-3)
-//      produces the exact dense rectangles inside the cell.
+//   2. Refine: each candidate cell needs the objects predicted inside the
+//      cell expanded by l/2 (the square S of Section 5.3). One TPR-tree
+//      traversal per query fetches them for all candidates at once — it
+//      enters the nodes that meet some candidate's square, so each page
+//      is read once — and buckets the positions by cell; each candidate
+//      then gathers its square's objects from the buckets, and the
+//      two-level plane sweep (Algorithms 2-3) produces the exact dense
+//      rectangles inside the cell.
 //
 // Cost accounting follows the paper: CPU is measured wall time, I/O is
 // the TPR-tree's physical page reads charged at io_ms each (the histogram
@@ -96,7 +100,9 @@ class FrEngine {
     int64_t accepted_cells = 0;
     int64_t rejected_cells = 0;
     int64_t candidate_cells = 0;
-    int64_t objects_fetched = 0;  ///< leaf entries returned by range queries
+    /// Objects inside each candidate's square, summed over candidates
+    /// (what one range query per candidate cell would return).
+    int64_t objects_fetched = 0;
     SweepStats sweep;
     double filter_ms = 0.0;  ///< CPU spent in the filtering step
     double refine_ms = 0.0;  ///< CPU spent in refinement (fan-out + merge)
@@ -190,8 +196,8 @@ class FrEngine {
 
 /// The filter + refine + merge body of FrEngine::Query against explicit
 /// inputs: a counter slice (live Slice(q_t) or an MVCC materialization)
-/// and the TPR-tree read inputs of TprTree::RangeQueryFrom — a buffer
-/// pool and a root page (the live tree's, or a private pool over frozen
+/// and the TPR-tree read inputs of TprTree::Traverse — a buffer pool and
+/// a root page (the live tree's, or a private pool over frozen
 /// MVCC pages with the committed root). Both callers run the exact same
 /// code path, which is what makes snapshot answers bit-identical to
 /// serialized execution.

@@ -220,14 +220,12 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
            ps[static_cast<size_t>(r0) * (m + 1) + c0];
   };
 
-  // Coarse index shape: average indexed entries per allocated page. The
-  // +1 page per candidate approximates the root-to-leaf descent.
-  const TprTree& index = fr_->index();
-  const double entries_per_page =
-      index.node_count() > 0
-          ? std::max(1.0, static_cast<double>(index.size()) /
-                              static_cast<double>(index.node_count()))
-          : 1.0;
+  // The refinement step scans the index once per query, entering the
+  // nodes that meet some candidate window, so its page touches follow the
+  // objects near the union of those windows: the cells within l/2 of a
+  // candidate window, each counted once.
+  const int scan_hw = ExpansiveHalfWidth(2.0 * l, cell_edge);
+  std::vector<char> scanned(static_cast<size_t>(m) * m, 0);
   for (int r = 0; r < m; ++r) {
     for (int c = 0; c < m; ++c) {
       const double cons = cons_hw >= 0 ? block_sum(c, r, cons_hw) : 0.0;
@@ -238,13 +236,36 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
         pred.rejected_cells += 1.0;
       } else {
         pred.candidate_cells += 1.0;
-        // The refinement range query for a candidate cell fetches the
-        // objects of the cell grown by l/2 — the expansive window is the
-        // histogram's best estimate of that count.
+        // The candidate's window is the cell grown by l/2 — the expansive
+        // block is the histogram's best estimate of its object count.
         pred.objects_fetched += expn;
-        pred.io_reads += 1.0 + expn / entries_per_page;
+        for (int rr = std::max(0, r - scan_hw);
+             rr <= std::min(m - 1, r + scan_hw); ++rr) {
+          for (int cc = std::max(0, c - scan_hw);
+               cc <= std::min(m - 1, c + scan_hw); ++cc) {
+            scanned[static_cast<size_t>(grid.FlatIndex(cc, rr))] = 1;
+          }
+        }
       }
     }
+  }
+  if (pred.candidate_cells > 0) {
+    // Coarse index shape: those objects' leaves at the average entries
+    // per allocated page, plus one page per internal level, and never
+    // more than the whole tree.
+    const TprTree& index = fr_->index();
+    const double entries_per_page =
+        index.node_count() > 0
+            ? std::max(1.0, static_cast<double>(index.size()) /
+                                static_cast<double>(index.node_count()))
+            : 1.0;
+    double near_objects = 0.0;
+    for (size_t k = 0; k < scanned.size(); ++k) {
+      if (scanned[k]) near_objects += static_cast<double>(slice[k]);
+    }
+    pred.io_reads =
+        std::min(static_cast<double>(index.node_count()),
+                 near_objects / entries_per_page + (index.height() - 1));
   }
   // Charged at the physical rate, this is the cold-cache bound; the
   // calibration ratio itself compares logical page touches (cache state

@@ -170,9 +170,10 @@ struct CostPrediction {
 /// against measured actuals (see file comment). Model: the filter's own
 /// conservative/expansive block sums classify each cell, with the
 /// candidate band widened by a Poisson slack z·sqrt(count) absorbing the
-/// motion the histogram slice cannot resolve; candidate refinement cost
-/// is the expansive-window object estimate divided by the index's average
-/// entries per page, plus one page per cell for the root-to-leaf descent.
+/// motion the histogram slice cannot resolve; refinement is one index
+/// scan per query, whose cost is the object count of the cells within
+/// l/2 of a candidate window divided by the index's average entries per
+/// page, plus one page per internal level, capped at the tree's size.
 /// The I/O ratio compares logical page touches — cache behavior is
 /// deliberately outside the model, so a hit-rate collapse shows up as
 /// physical cost without moving the ratio.

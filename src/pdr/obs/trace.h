@@ -7,8 +7,8 @@
 //
 //   fr.query
 //   ├─ fr.filter
+//   ├─ tpr.scan
 //   └─ fr.cell (per candidate)
-//      ├─ tpr.range_query
 //      └─ sweep.cell
 //
 // without any explicit plumbing between layers. Spans carry wall time

@@ -2,10 +2,11 @@
 //
 // A query that must answer within a latency budget carries a QueryControl:
 // a steady-clock Deadline plus an optional external CancelToken. The
-// engines check the control at their natural work quanta — FR per
-// candidate cell and per plane-sweep strip, PA per branch-and-bound node,
-// ThreadPool::ParallelFor before claiming each index — and abandon the
-// query by throwing CancelledError as soon as either signal fires. The
+// engines check the control at their natural work quanta — FR per index
+// node, per candidate cell and per plane-sweep strip, PA per
+// branch-and-bound node, ThreadPool::ParallelFor before claiming each
+// index — and abandon the query by throwing CancelledError as soon as
+// either signal fires. The
 // guarantee is therefore *cooperative*: a query returns within its budget
 // plus one work quantum, never mid-quantum (no partial state, no torn
 // output buffers).

@@ -20,6 +20,7 @@
 #include "pdr/core/monitor.h"
 #include "pdr/core/oracle.h"
 #include "pdr/core/pa_engine.h"
+#include "pdr/mobility/generator.h"
 #include "pdr/obs/export.h"
 #include "pdr/obs/report.h"
 
@@ -228,6 +229,35 @@ TEST_F(AuditTest, SlackWidensCandidateBandAndStaysCalibrated) {
     }
   }
   EXPECT_TRUE(saw_ratio);
+}
+
+// Refinement scans the index once per query, so a workload whose candidate
+// windows cover most of the domain touches most of the tree once — not
+// once per candidate cell. The page model must track that within 2x.
+TEST_F(AuditTest, IoModelTracksOneScanOnManyCandidateColdWorkload) {
+  REQUIRE_OBS_COMPILED_IN();
+  constexpr int kObjects = 6000;
+  FrEngine fr({.extent = kExtent,
+               .histogram_side = 25,
+               .horizon = 30,
+               .buffer_pages = 19,
+               .io_ms = 10.0});
+  for (const UpdateEvent& e :
+       MakeClusteredInserts(kObjects, 5, kExtent, 25.0, 0.5, 61)) {
+    fr.Apply(e);
+  }
+  const double rho = 1.5 * kObjects / (kExtent * kExtent);
+  CostCalibrator calibrator(&fr);
+  int64_t candidates = 0;
+  for (Tick q_t : {0, 10, 20, 30}) {
+    const CostPrediction pred = calibrator.Predict(q_t, rho, kL);
+    const auto actual = fr.Query(q_t, rho, kL, /*cold_cache=*/true);
+    candidates += actual.candidate_cells;
+    calibrator.Observe(pred, actual);
+  }
+  EXPECT_GT(candidates, 4 * 100);  // >= 100 candidate cells per query
+  EXPECT_GE(calibrator.io_ratio_ewma(), 0.5);
+  EXPECT_LE(calibrator.io_ratio_ewma(), 2.0);
 }
 
 // --- EwmaDriftDetector ------------------------------------------------------

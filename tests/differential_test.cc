@@ -171,6 +171,37 @@ TEST(DifferentialTest, FrSerialParallelOracleAgreeAcross160Seeds) {
   }
 }
 
+// Physical reads are a function of the query alone: the index scan runs
+// serially before the per-cell fan-out, which never touches the buffer
+// pool. So a cold query under a pool far smaller than the tree (the
+// paper's 19 pages) reads exactly as many pages at every width.
+TEST(DifferentialTest, ColdSmallPoolPhysicalReadsMatchSerialAcrossThreadCounts) {
+  constexpr int kObjects = 4000;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    const FrScenario s = MakeFrScenario(seed);
+    FrEngine fr({.extent = kExtent,
+                 .histogram_side = 16,
+                 .horizon = 20,
+                 .buffer_pages = 19});
+    for (const UpdateEvent& e : FrWorkload(s, kObjects)) fr.Apply(e);
+    const double rho = s.rho * kObjects / s.objects;
+    const auto serial = fr.Query(s.q_t, rho, s.l, /*cold_cache=*/true);
+    ASSERT_GT(serial.candidate_cells, 1) << "seed " << seed;
+    ASSERT_GT(serial.cost.io.physical_reads, 19) << "seed " << seed;
+    for (int threads : kPolicies) {
+      fr.SetExecPolicy(ExecPolicy::Parallel(threads));
+      const auto par = fr.Query(s.q_t, rho, s.l, /*cold_cache=*/true);
+      std::string why;
+      EXPECT_TRUE(SameRects(serial.region, par.region, &why))
+          << "seed " << seed << " threads " << threads << ": " << why;
+      EXPECT_EQ(par.cost.io.physical_reads, serial.cost.io.physical_reads)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(par.cost.io.logical_reads, serial.cost.io.logical_reads)
+          << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
 // PA scenarios: the approximate engine must also be policy-independent,
 // and its shadow-audit verdict (scored against an exact FR replay) must
 // be internally consistent and identical at every thread count.
