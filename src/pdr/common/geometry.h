@@ -186,8 +186,11 @@ class Grid {
 
   /// Column index of coordinate `x`, clamped into [0, cells-1] so that
   /// objects sitting exactly on the domain's top/right edge stay in range.
+  /// The clamp runs in double before the int conversion, so a position
+  /// predicted far off the domain cannot overflow it (NaN maps to 0).
   int ColOf(double x) const {
-    return std::clamp(static_cast<int>(std::floor(x / edge_)), 0, cells_ - 1);
+    const double col = std::floor(x / edge_);
+    return col >= 1 ? static_cast<int>(std::min(col, cells_ - 1.0)) : 0;
   }
   int RowOf(double y) const { return ColOf(y); }
 

@@ -54,6 +54,7 @@ const char* FrEventName(FrEvent kind) {
     case FrEvent::kCheckpoint: return "checkpoint";
     case FrEvent::kFftField: return "fft_field";
     case FrEvent::kCorruption: return "corruption";
+    case FrEvent::kScan: return "scan";
   }
   return "unknown";
 }
@@ -341,6 +342,10 @@ void AppendArgs(std::string* out, const MicroEvent& e) {
     case FrEvent::kCorruption:
       add("page", e.a);
       add("repaired", e.b);
+      break;
+    case FrEvent::kScan:
+      add("nodes", e.a);
+      add("entries", e.b);
       break;
   }
 }

@@ -61,9 +61,11 @@ enum class FrEvent : uint8_t {
   kQueryBegin = 1,  ///< a = q_t, b = bit pattern of rho
   kQueryEnd,        ///< a = objects fetched, b = dense rects
   kFilter,          ///< a = accepted<<32 | rejected, b = candidates
-  kCellBegin,       ///< a = col<<32 | row
+  kCellBegin,       ///< a = col<<32 | row (no engine emits the cell pair:
+                    ///< FR refinement records one kSweep per query)
   kCellEnd,         ///< a = col<<32 | row, b = objects<<32 | rects
   kSweep,           ///< a = x_strips<<32 | y_sweeps, b = y_strips<<32 | rects
+                    ///< summed over one FR query's candidate cells
                     ///< (y_strips = segment-tree nodes the reports visit)
   kBnbPrune,        ///< a = macro cell index, b = boxes pruned in the cell
   kPageFault,       ///< a = page id, b = 1 physical miss / 0 logical
@@ -75,6 +77,7 @@ enum class FrEvent : uint8_t {
   kCheckpoint,      ///< a = tick, b = pages logged
   kFftField,        ///< a = q_t the density field was built for, b = grid m
   kCorruption,      ///< a = page id (-1 = checkpoint blob), b = 1 repaired
+  kScan,            ///< a = TPR-tree nodes visited, b = leaf entries emitted
 };
 
 /// Stable lower-case name ("query_begin", "page_fault", ...).

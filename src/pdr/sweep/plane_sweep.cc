@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 
 namespace pdr {
@@ -227,11 +226,6 @@ std::vector<Rect> SweepCell(const Rect& cell,
     span.SetAttr("y_sweeps", local.y_sweeps);
     span.SetAttr("dense_rects", local.dense_rects);
   }
-  // One summary event per cell sweep (not per strip: the flight recorder
-  // tracks the decision chain, per-strip work stays in the counters).
-  FlightRecorder::Record(
-      FrEvent::kSweep, FlightRecorder::Pack(local.x_strips, local.y_sweeps),
-      FlightRecorder::Pack(local.y_strips, local.dense_rects));
   if (stats != nullptr) *stats += local;
   return result;
 }

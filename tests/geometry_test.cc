@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 namespace pdr {
@@ -130,6 +131,19 @@ TEST(GridTest, CellIndexing) {
   // Domain top edge is clamped into the last cell.
   EXPECT_EQ(g.ColOf(100.0), 9);
   EXPECT_EQ(g.CellOf({15, 25}), 2 * 10 + 1);
+}
+
+// Coordinates far off the domain (a position predicted from an absurd
+// reported velocity) clamp into the border cells instead of overflowing
+// the int conversion; NaN lands in cell 0.
+TEST(GridTest, ColOfClampsFarOffAndNonFiniteCoordinates) {
+  const Grid g(100.0, 10);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {-1.0, -1e300, -inf}) EXPECT_EQ(g.ColOf(x), 0) << x;
+  for (const double x : {100.5, 1e300, inf}) EXPECT_EQ(g.ColOf(x), 9) << x;
+  EXPECT_EQ(g.ColOf(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(g.CellOf({1e300, -1e300}), 9);
+  EXPECT_EQ(g.CellOf({-inf, inf}), 9 * 10);
 }
 
 TEST(GridTest, CellRectRoundTrip) {
