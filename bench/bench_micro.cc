@@ -4,10 +4,13 @@
 // per-operation numbers quoted in EXPERIMENTS.md.
 
 #include <benchmark/benchmark.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -230,37 +233,78 @@ void BM_RecorderRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_RecorderRecord);
 
-// End-to-end FR query on a pre-built engine: the probe behind the CI
-// recorder-overhead gate (scripts/check_overhead.sh). The query path
-// crosses every instrumented subsystem — filter, per-cell refinement,
-// plane sweep, buffer pool — so the off-vs-on delta of this bench bounds
-// what always-on recording costs a serving process.
-void RunFrQuery(benchmark::State& state, bool recorder_on) {
+// End-to-end FR query on a pre-built engine, recorder off. The query path
+// crosses every instrumented subsystem — filter, index scan, plane sweep,
+// buffer pool — which makes it the recorder-overhead probe's query too.
+constexpr double kFrQueryRho = 3.0 * 20000 / (kExtent * kExtent);
+
+std::unique_ptr<FrEngine> MakeFrQueryEngine() {
+  auto fr = std::make_unique<FrEngine>(FrEngine::Options{
+      .extent = kExtent,
+      .histogram_side = 50,
+      .horizon = kHorizon,
+      .buffer_pages = 256});
+  for (const auto& e : SomeInserts(20000)) fr->Apply(e);
+  return fr;
+}
+
+void BM_FrQuery(benchmark::State& state) {
   const bool was_enabled = FlightRecorder::Enabled();
-  FlightRecorder::SetEnabled(recorder_on);
-  FrEngine fr({.extent = kExtent,
-               .histogram_side = 50,
-               .horizon = kHorizon,
-               .buffer_pages = 256});
-  for (const auto& e : SomeInserts(20000)) fr.Apply(e);
-  const double rho = 3.0 * 20000 / (kExtent * kExtent);
+  FlightRecorder::SetEnabled(false);
+  const auto fr = MakeFrQueryEngine();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fr.Query(/*q_t=*/5, rho, /*l=*/30.0));
+    benchmark::DoNotOptimize(fr->Query(/*q_t=*/5, kFrQueryRho, /*l=*/30.0));
   }
   state.SetItemsProcessed(state.iterations());
   FlightRecorder::SetEnabled(was_enabled);
 }
-
-void BM_FrQuery(benchmark::State& state) { RunFrQuery(state, false); }
 BENCHMARK(BM_FrQuery);
 
-// The same query with recording forced on. The off/on pair is the CI
-// overhead gate's probe: run both in ONE process with
-// --benchmark_enable_random_interleaving so the repetitions alternate,
-// and thermal/scheduler drift hits both sides equally instead of biasing
-// whichever side ran second.
-void BM_FrQueryRecorderOn(benchmark::State& state) { RunFrQuery(state, true); }
-BENCHMARK(BM_FrQueryRecorderOn);
+double ThreadCpuMs() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+// The recorder-overhead gate's probe (scripts/check_overhead.sh). Each
+// iteration is one round on ONE engine: kPerSide recorder-off queries and
+// kPerSide recorder-on queries, the side that goes first alternating
+// between rounds, each side timed by the thread's CPU clock. A round
+// yields one on/off ratio, and `overhead_pct` is the median ratio over
+// all rounds. Pairing inside a round cancels the host's drift, which
+// moved whole repetitions of separately timed off and on runs by several
+// percent, far more than the recorder costs.
+void BM_FrQueryRecorderPaired(benchmark::State& state) {
+  constexpr int kPerSide = 3;
+  const bool was_enabled = FlightRecorder::Enabled();
+  const auto fr = MakeFrQueryEngine();
+  std::vector<double> ratios;
+  for (auto _ : state) {
+    double side_ms[2] = {0.0, 0.0};  // [off, on]
+    const bool on_first = ratios.size() % 2 == 1;
+    for (const bool on : {on_first, !on_first}) {
+      FlightRecorder::SetEnabled(on);
+      const double start = ThreadCpuMs();
+      for (int i = 0; i < kPerSide; ++i) {
+        benchmark::DoNotOptimize(
+            fr->Query(/*q_t=*/5, kFrQueryRho, /*l=*/30.0));
+      }
+      side_ms[on] = ThreadCpuMs() - start;
+    }
+    ratios.push_back(side_ms[1] / side_ms[0]);
+  }
+  FlightRecorder::SetEnabled(was_enabled);
+  std::sort(ratios.begin(), ratios.end());
+  const size_t n = ratios.size();
+  const double median = n % 2 == 1 ? ratios[n / 2]
+                                   : (ratios[n / 2 - 1] + ratios[n / 2]) / 2;
+  state.counters["overhead_pct"] = 100.0 * (median - 1.0);
+  state.counters["rounds"] = static_cast<double>(n);
+}
+BENCHMARK(BM_FrQueryRecorderPaired)
+    ->Iterations(150)
+    ->Unit(benchmark::kMillisecond);
 
 // End-to-end monitor tick with and without the workload recorder: the
 // probe behind the CI recording-overhead gate (scripts/check_replay.sh).

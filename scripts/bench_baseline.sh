@@ -82,8 +82,8 @@ echo "==== bench_fig10_cost (threads=${hw}) ===="
     --jsonl="${tmpdir}/bench_fig10_cost.threads_hw.jsonl" \
     ${bench_args[@]+"${bench_args[@]}"} >/dev/null
 
-# Flight-recorder series: (a) the overhead probe pair from bench_micro —
-# the same off/on interleaved comparison scripts/check_overhead.sh gates
+# Flight-recorder series: (a) the paired off/on overhead probe from
+# bench_micro — the same measurement scripts/check_overhead.sh gates
 # on, recorded here so the baseline tracks the recorder's end-to-end cost
 # over time — and (b) the size of one deadline-miss dump pair (JSONL +
 # Chrome trace) from a seeded pdr_tool run, so dump-volume regressions
@@ -92,9 +92,7 @@ echo "==== bench_fig10_cost (threads=${hw}) ===="
 if [[ -x "${build}/bench/bench_micro" ]]; then
   echo "==== bench_micro recorder overhead probe ===="
   env -u PDR_FLIGHT_RECORDER "${build}/bench/bench_micro" \
-      --benchmark_filter='^BM_FrQuery(RecorderOn)?$' \
-      --benchmark_repetitions=5 \
-      --benchmark_enable_random_interleaving=true \
+      --benchmark_filter='^BM_FrQueryRecorderPaired/' \
       --benchmark_format=json >"${tmpdir}/recorder_probe.json"
 else
   echo "note: bench_micro not built; skipping recorder-overhead series"
@@ -223,24 +221,17 @@ if os.path.exists(replay_jsonl):
     doc["benches"]["replay"]["calibration"] = [
         {"sha256_cpu_ms": sha256_calib_ms()}]
 
-# Flight-recorder overhead: min CPU time of the interleaved off/on probe
-# pair (see scripts/check_overhead.sh for the measurement rationale).
+# Flight-recorder overhead: median per-round on/off ratio of the paired
+# probe (see scripts/check_overhead.sh for the measurement rationale).
 probe = os.path.join(tmpdir, "recorder_probe.json")
 if os.path.exists(probe):
     with open(probe) as f:
         runs = json.load(f)["benchmarks"]
-    mins = {}
     for b in runs:
-        if b.get("run_type", "iteration") != "iteration":
-            continue
-        name = b["name"].split("/")[0]
-        mins[name] = min(mins.get(name, float("inf")), b["cpu_time"])
-    off = mins.get("BM_FrQuery")
-    on = mins.get("BM_FrQueryRecorderOn")
-    if off and on:
-        doc["benches"]["flight_recorder"] = {"overhead": [{
-            "off_ms": off / 1e6, "on_ms": on / 1e6,
-            "overhead_pct": 100.0 * (on - off) / off}]}
+        if b["name"].startswith("BM_FrQueryRecorderPaired"):
+            doc["benches"]["flight_recorder"] = {"overhead": [{
+                "rounds": int(b["rounds"]),
+                "overhead_pct": b["overhead_pct"]}]}
 
 # Dump volume: sizes of the seeded deadline-miss dump pair.
 dumpdir = os.path.join(tmpdir, "fr_dumps")

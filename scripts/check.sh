@@ -88,9 +88,9 @@ echo "==== resilience soak (build-check, PDR_SOAK=full) ===="
     -j "${jobs}" -R 'ResilienceSoakTest' "${EXTRA_CTEST_ARGS[@]+"${EXTRA_CTEST_ARGS[@]}"}")
 
 # Flight-recorder overhead gate: recording must stay affordable enough to
-# leave on in a serving process. Compares the bench_micro end-to-end query
-# probe with the recorder off vs on (interleaved repetitions, min CPU
-# time) and fails above 3%. Skipped when the bench tree wasn't built
+# leave on in a serving process. Times the bench_micro end-to-end query
+# probe in paired recorder-off/on rounds on one engine and fails when the
+# median per-round overhead is above 3%. Skipped when the bench tree wasn't built
 # (google-benchmark not installed).
 if [[ -x "${repo}/build-check/bench/bench_micro" ]]; then
   "${repo}/scripts/check_overhead.sh" --build "${repo}/build-check"

@@ -32,9 +32,8 @@
 #      exact-FR machinery around it is not).
 #   3. Recording overhead — bench_micro's BM_MonitorTick vs
 #      BM_MonitorTickRecorded probe pair: many short interleaved
-#      repetitions after a warm-up window, min CPU time per side (the
-#      check_overhead.sh methodology), best of up to
-#      PDR_RECORD_GATE_TRIES independent probe runs: always-on capture
+#      repetitions after a warm-up window, min CPU time per side, best
+#      of up to PDR_RECORD_GATE_TRIES independent probe runs: always-on capture
 #      must cost at most PDR_RECORD_GATE_PCT percent (default 3).
 #   4. Replay perf regression — min-of-N `replay --bench` CPU p99 over
 #      the canned workload vs the committed BENCH_baseline.json

@@ -184,15 +184,6 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
   // edge 2 * g / eval_grid inside one macro-cell.
   const double min_edge_norm =
       2.0 * static_cast<double>(options.grid_side) / eval_grid;
-  static Counter& bnb_nodes =
-      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_nodes");
-  static Counter& bnb_pruned =
-      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_pruned");
-  static Counter& bnb_accepted =
-      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_accepted");
-  static Counter& bnb_point_evals =
-      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_point_evals");
-
   // Each macro-cell's search writes its own region and counters; cell
   // regions are concatenated in cell order below, so serial and parallel
   // execution build the identical rectangle sequence before Coalesced().
@@ -213,10 +204,6 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
                  -1.0, 1.0, rho, min_edge_norm,
                  &cell_out[static_cast<size_t>(cell)], &cs, ctl);
     }
-    bnb_nodes.Add(cs.nodes_visited);
-    bnb_pruned.Add(cs.pruned_boxes);
-    bnb_accepted.Add(cs.accepted_boxes);
-    bnb_point_evals.Add(cs.point_evals);
     // One summary event per macro cell (per-box events would swamp the
     // ring on deep searches; the counters carry totals).
     if (cs.pruned_boxes > 0) {
@@ -239,10 +226,26 @@ Region ChebGrid::QueryDenseOverSlice(const Options& options, const Grid& grid,
   }
 
   Region out;
+  BnbStats total;
   for (int cell = 0; cell < cell_count; ++cell) {
     out.Add(cell_out[static_cast<size_t>(cell)]);
-    if (stats != nullptr) *stats += cell_stats[static_cast<size_t>(cell)];
+    total += cell_stats[static_cast<size_t>(cell)];
   }
+  // The search's totals are published once per query, from the merged
+  // counts, so the fan-out itself makes no metric writes.
+  static Counter& bnb_nodes =
+      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_nodes");
+  static Counter& bnb_pruned =
+      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_pruned");
+  static Counter& bnb_accepted =
+      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_accepted");
+  static Counter& bnb_point_evals =
+      MetricsRegistry::Global().GetCounter("pdr.pa.bnb_point_evals");
+  bnb_nodes.Add(total.nodes_visited);
+  bnb_pruned.Add(total.pruned_boxes);
+  bnb_accepted.Add(total.accepted_boxes);
+  bnb_point_evals.Add(total.point_evals);
+  if (stats != nullptr) *stats += total;
   return out.Coalesced();
 }
 

@@ -11,9 +11,11 @@
 #include "pdr/mvcc/snapshot_manager.h"
 #include "pdr/mvcc/versioned_histogram.h"
 #include "pdr/mvcc/versioned_pager.h"
+#include "pdr/obs/explain.h"
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 #include "pdr/parallel/thread_pool.h"
+#include "pdr/storage/disk_pager.h"
 #include "pdr/storage/serde.h"
 
 namespace pdr {
@@ -53,18 +55,45 @@ struct FrMetrics {
   Counter& objects_fetched;
   Histogram& query_ms;
   Histogram& refine_objects;
+  // The plane sweep's work, summed over the query's candidate cells.
+  Counter& sweep_cells;
+  Counter& sweep_x_strips;
+  Counter& sweep_y_sweeps;
+  Counter& sweep_y_strips;
+  Counter& sweep_dense_rects;
 
   static FrMetrics& Get() {
+    MetricsRegistry& r = MetricsRegistry::Global();
     static FrMetrics m{
-        MetricsRegistry::Global().GetCounter("pdr.fr.queries"),
-        MetricsRegistry::Global().GetCounter("pdr.fr.cells_accepted"),
-        MetricsRegistry::Global().GetCounter("pdr.fr.cells_rejected"),
-        MetricsRegistry::Global().GetCounter("pdr.fr.cells_candidate"),
-        MetricsRegistry::Global().GetCounter("pdr.fr.objects_fetched"),
-        MetricsRegistry::Global().GetHistogram("pdr.fr.query_ms"),
-        MetricsRegistry::Global().GetHistogram("pdr.fr.refine_objects"),
+        r.GetCounter("pdr.fr.queries"),
+        r.GetCounter("pdr.fr.cells_accepted"),
+        r.GetCounter("pdr.fr.cells_rejected"),
+        r.GetCounter("pdr.fr.cells_candidate"),
+        r.GetCounter("pdr.fr.objects_fetched"),
+        r.GetHistogram("pdr.fr.query_ms"),
+        r.GetHistogram("pdr.fr.refine_objects"),
+        r.GetCounter("pdr.sweep.cells"),
+        r.GetCounter("pdr.sweep.x_strips"),
+        r.GetCounter("pdr.sweep.y_sweeps"),
+        r.GetCounter("pdr.sweep.y_strips"),
+        r.GetCounter("pdr.sweep.dense_rects"),
     };
     return m;
+  }
+
+  void Publish(const FrEngine::QueryResult& result) {
+    queries.Increment();
+    cells_accepted.Add(result.accepted_cells);
+    cells_rejected.Add(result.rejected_cells);
+    cells_candidate.Add(result.candidate_cells);
+    objects_fetched.Add(result.objects_fetched);
+    query_ms.Observe(result.cost.TotalMs());
+    refine_objects.Observe(static_cast<double>(result.objects_fetched));
+    sweep_cells.Add(result.candidate_cells);
+    sweep_x_strips.Add(result.sweep.x_strips);
+    sweep_y_sweeps.Add(result.sweep.y_sweeps);
+    sweep_y_strips.Add(result.sweep.y_strips);
+    sweep_dense_rects.Add(result.sweep.dense_rects);
   }
 };
 
@@ -200,14 +229,16 @@ FrEngine::~FrEngine() = default;
 
 void FrEngine::Checkpoint() {
   if (!index_.durable()) return;
-  FlightRecorder::Record(FrEvent::kCheckpoint,
-                         static_cast<int64_t>(histogram_.now()));
   std::string meta;
   PutPod(&meta, kEngineMetaMagic);
   PutPod(&meta, kEngineMetaVersion);
   PutPod(&meta, kEngineMetaTprKind);
   histogram_.Serialize(&meta);
+  const int64_t logged_before = index_.disk()->checkpoint_stats().pages_logged;
   index_.Checkpoint(meta);
+  FlightRecorder::Record(
+      FrEvent::kCheckpoint, static_cast<int64_t>(histogram_.now()),
+      index_.disk()->checkpoint_stats().pages_logged - logged_before);
 }
 
 void FrEngine::SetExecPolicy(const ExecPolicy& exec) {
@@ -263,6 +294,19 @@ std::shared_ptr<const FrSnapshotState> FrEngine::CaptureState() const {
   state->now = histogram_.now();
   state->tpr_root = index_.root();
   return state;
+}
+
+void FrEngine::QueryResult::FillExplain(ExplainRecord* explain) const {
+  explain->query_id = query_id;
+  explain->stages.push_back({"filter", filter_ms, true});
+  explain->stages.push_back({"refine", refine_ms, true});
+  explain->accepted_cells = accepted_cells;
+  explain->rejected_cells = rejected_cells;
+  explain->candidate_cells = candidate_cells;
+  explain->objects_fetched = objects_fetched;
+  explain->dense_rects = sweep.dense_rects;
+  explain->pages_read_physical = cost.io.physical_reads;
+  explain->pages_read_logical = cost.io.logical_reads;
 }
 
 FrEngine::QueryResult FrQueryCore(
@@ -350,13 +394,26 @@ FrEngine::QueryResult FrQueryCore(
   if (!candidates.empty()) {
     const CandidateWindows windows(grid, filter, l);
     std::vector<Vec2> scanned;
-    TprTree::Traverse(
-        buffers, root, q_t,
-        [&windows](const Rect& r) { return windows.Meets(r); },
-        [&scanned, q_t](ObjectId, const MotionState& state) {
-          scanned.push_back(state.PositionAt(q_t));
-        },
-        control);
+    {
+      TraceSpan scan_span("tpr.scan");
+      const ScanStats scan = TprTree::Traverse(
+          buffers, root, q_t,
+          [&windows](const Rect& r) { return windows.Meets(r); },
+          [&scanned, q_t](ObjectId, const MotionState& state) {
+            scanned.push_back(state.PositionAt(q_t));
+          },
+          control);
+      FlightRecorder::Record(FrEvent::kScan, scan.nodes_visited, scan.entries);
+      if (scan_span.active()) {
+        // The scan is the query's only page reader, so its I/O is the
+        // pool's whole delta since the query began.
+        const IoStats scan_io = buffers.stats() - io_before;
+        scan_span.SetAttr("nodes_visited", scan.nodes_visited);
+        scan_span.SetAttr("entries", scan.entries);
+        scan_span.SetAttr("io_reads", scan_io.physical_reads);
+        scan_span.SetAttr("io_logical", scan_io.logical_reads);
+      }
+    }
     buckets = CellBuckets(grid, scanned);
   }
 
@@ -391,6 +448,9 @@ FrEngine::QueryResult FrQueryCore(
       cell_span.SetAttr("col", c.col);
       cell_span.SetAttr("row", c.row);
       cell_span.SetAttr("objects", out.objects);
+      cell_span.SetAttr("positions", static_cast<int64_t>(positions.size()));
+      cell_span.SetAttr("x_strips", out.sweep.x_strips);
+      cell_span.SetAttr("y_sweeps", out.sweep.y_sweeps);
       cell_span.SetAttr("dense_rects", out.sweep.dense_rects);
     }
   };
@@ -420,7 +480,13 @@ FrEngine::QueryResult FrQueryCore(
       }
     }
   }
-  result.region = region.Coalesced();
+  {
+    TraceSpan coalesce_span("fr.coalesce");
+    result.region = region.Coalesced();
+    coalesce_span.SetAttr("rects_in", static_cast<int64_t>(region.size()));
+    coalesce_span.SetAttr("rects_out",
+                          static_cast<int64_t>(result.region.size()));
+  }
   result.refine_ms = refine_timer.ElapsedMillis();
   // The recorder sees one event per stage, not per cell: at thousands of
   // candidate cells a per-cell event pair costs more than the recorder's
@@ -436,15 +502,7 @@ FrEngine::QueryResult FrQueryCore(
   result.cost.io = buffers.stats() - io_before;
   result.cost.io_ms = result.cost.io.ReadCostMs(io_ms);
 
-  FrMetrics& metrics = FrMetrics::Get();
-  metrics.queries.Increment();
-  metrics.cells_accepted.Add(filter.accepted);
-  metrics.cells_rejected.Add(filter.rejected);
-  metrics.cells_candidate.Add(filter.candidates);
-  metrics.objects_fetched.Add(result.objects_fetched);
-  metrics.query_ms.Observe(result.cost.TotalMs());
-  metrics.refine_objects.Observe(
-      static_cast<double>(result.objects_fetched));
+  FrMetrics::Get().Publish(result);
 
   span.SetAttr("cpu_ms", result.cost.cpu_ms);
   span.SetAttr("io_ms", result.cost.io_ms);

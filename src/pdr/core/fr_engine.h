@@ -46,6 +46,7 @@
 namespace pdr {
 
 class ThreadPool;
+struct ExplainRecord;
 struct FrSnapshotState;
 
 namespace mvcc {
@@ -109,6 +110,12 @@ class FrEngine {
     /// Flight-recorder correlation key for this query's micro-events (0
     /// when the recorder is disabled).
     uint32_t query_id = 0;
+
+    /// Writes this answer's provenance into `explain`: the query id, the
+    /// "filter" and "refine" stages, the filter's cell counts, the
+    /// refinement's work and the pages read. The caller stamps what the
+    /// request knows (q_t, rho, l, tier, budget, elapsed time, epoch).
+    void FillExplain(ExplainRecord* explain) const;
   };
 
   /// Exact snapshot PDR query (Definition 4).
@@ -150,7 +157,9 @@ class FrEngine {
   /// Durability: makes the whole engine state (index pages + tree metadata
   /// + histogram + clocks) durable as one atomic checkpoint. No-op when
   /// `storage_dir` is empty. Throws CrashError under fault injection; the
-  /// engine must then be discarded (as a killed process would be).
+  /// engine must then be discarded (as a killed process would be). Once
+  /// the checkpoint commits, records one kCheckpoint event (the tick and
+  /// the pages it logged).
   void Checkpoint();
 
   /// True when the engine writes durable storage.

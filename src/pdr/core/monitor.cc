@@ -122,9 +122,7 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
     delta.cost = result.cost;
     delta.current = std::move(result.region);
     delta.explain.tier = AnswerTier::kApprox;
-    delta.explain.stages.push_back({"approx", pa_elapsed, true});
-    delta.explain.bnb_nodes = result.bnb.nodes_visited;
-    delta.explain.bnb_pruned = result.bnb.pruned_boxes;
+    result.FillExplain(&delta.explain, pa_elapsed);
   } else if (ladder != nullptr) {
     auto result = ladder->Query(delta.q_t, options_.rho, options_.l);
     delta.cost = result.cost;
@@ -142,17 +140,8 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
     if (predicted) calibrator_->Observe(*predicted, result);
     delta.cost = result.cost;
     delta.current = std::move(result.region);
-    delta.explain.query_id = result.query_id;
     delta.explain.tier = AnswerTier::kExact;
-    delta.explain.stages.push_back({"filter", result.filter_ms, true});
-    delta.explain.stages.push_back({"refine", result.refine_ms, true});
-    delta.explain.accepted_cells = result.accepted_cells;
-    delta.explain.rejected_cells = result.rejected_cells;
-    delta.explain.candidate_cells = result.candidate_cells;
-    delta.explain.objects_fetched = result.objects_fetched;
-    delta.explain.dense_rects = result.sweep.dense_rects;
-    delta.explain.pages_read_physical = result.cost.io.physical_reads;
-    delta.explain.pages_read_logical = result.cost.io.logical_reads;
+    result.FillExplain(&delta.explain);
   }
 
   // Shadow audit (PA-primary only). The sampling roll stays on this thread
@@ -294,21 +283,12 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
       t.cost = r.cost;
       t.tier = AnswerTier::kExact;
       t.elapsed_ms = query_timer.ElapsedMillis();
-      t.explain.query_id = r.query_id;
       t.explain.q_t = q_t;
       t.explain.rho = s.rho;
       t.explain.l = s.l;
       t.explain.tier = AnswerTier::kExact;
       t.explain.elapsed_ms = t.elapsed_ms;
-      t.explain.stages.push_back({"filter", r.filter_ms, true});
-      t.explain.stages.push_back({"refine", r.refine_ms, true});
-      t.explain.accepted_cells = r.accepted_cells;
-      t.explain.rejected_cells = r.rejected_cells;
-      t.explain.candidate_cells = r.candidate_cells;
-      t.explain.objects_fetched = r.objects_fetched;
-      t.explain.dense_rects = r.sweep.dense_rects;
-      t.explain.pages_read_physical = r.cost.io.physical_reads;
-      t.explain.pages_read_logical = r.cost.io.logical_reads;
+      r.FillExplain(&t.explain);
     }
   }
   static Counter& batches =
@@ -388,22 +368,13 @@ PdrMonitor::Delta PdrMonitor::MakeSnapshotDelta(
   delta.cost = result.cost;
   delta.current = result.region;
   delta.elapsed_ms = elapsed_ms;
-  delta.explain.query_id = result.query_id;
   delta.explain.q_t = q_t;
   delta.explain.rho = rho;
   delta.explain.l = l;
   delta.explain.tier = AnswerTier::kExact;
   delta.explain.epoch = epoch;
   delta.explain.elapsed_ms = elapsed_ms;
-  delta.explain.stages.push_back({"filter", result.filter_ms, true});
-  delta.explain.stages.push_back({"refine", result.refine_ms, true});
-  delta.explain.accepted_cells = result.accepted_cells;
-  delta.explain.rejected_cells = result.rejected_cells;
-  delta.explain.candidate_cells = result.candidate_cells;
-  delta.explain.objects_fetched = result.objects_fetched;
-  delta.explain.dense_rects = result.sweep.dense_rects;
-  delta.explain.pages_read_physical = result.cost.io.physical_reads;
-  delta.explain.pages_read_logical = result.cost.io.logical_reads;
+  result.FillExplain(&delta.explain);
   return delta;
 }
 

@@ -5,6 +5,7 @@
 #include "pdr/core/fr_snapshot_state.h"
 #include "pdr/mvcc/snapshot_manager.h"
 #include "pdr/mvcc/versioned_cheb.h"
+#include "pdr/obs/explain.h"
 #include "pdr/obs/obs.h"
 #include "pdr/parallel/thread_pool.h"
 
@@ -63,6 +64,13 @@ ThreadPool* PaEngine::PoolForQuery() {
 
 void PaEngine::ValidateQt(Tick q_t) const {
   ValidateHorizon("pa", q_t, model_.now(), options_.horizon);
+}
+
+void PaEngine::QueryResult::FillExplain(ExplainRecord* explain,
+                                        double spent_ms) const {
+  explain->stages.push_back({"approx", spent_ms, true});
+  explain->bnb_nodes = bnb.nodes_visited;
+  explain->bnb_pruned = bnb.pruned_boxes;
 }
 
 PaEngine::QueryResult PaEngine::Query(Tick q_t, double rho,

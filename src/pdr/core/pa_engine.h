@@ -21,6 +21,7 @@
 namespace pdr {
 
 class ThreadPool;
+struct ExplainRecord;
 struct PaSnapshotState;
 
 namespace mvcc {
@@ -61,6 +62,11 @@ class PaEngine {
     Region region;
     CostBreakdown cost;  ///< io_ms always 0 for PA
     BnbStats bnb;
+
+    /// Writes this answer's provenance into `explain`: one "approx" stage
+    /// of `spent_ms` and the branch-and-bound work. The caller stamps the
+    /// rest, as for FrEngine::QueryResult::FillExplain.
+    void FillExplain(ExplainRecord* explain, double spent_ms) const;
   };
 
   /// Approximate snapshot PDR query (rho, options().l, q_t) via

@@ -28,8 +28,8 @@
 // observability layer but compile into pdr_core (they drive FrEngine and
 // the Oracle, which sit above the base obs library). Nothing here touches
 // PaEngine::Query itself, and every entry point early-outs on
-// !PdrObs::Enabled(), so with -DPDR_OBS=OFF the audit machinery folds
-// away and the PA query path carries zero added overhead.
+// !PdrObs::Enabled(), so with PDR_OBS=0 in the environment the audit
+// machinery does no work and the PA query path carries no added cost.
 
 #ifndef PDR_OBS_AUDIT_H_
 #define PDR_OBS_AUDIT_H_

@@ -111,7 +111,6 @@ struct FlightRecorder::State {
   std::atomic<int64_t> dump_seq{0};
 };
 
-#if PDR_OBS_COMPILED
 namespace {
 // The env default must live in enabled_'s own initializer, not the
 // Global() constructor: Record() checks Enabled() *before* touching
@@ -125,7 +124,6 @@ bool EnabledFromEnv() {
 }  // namespace
 
 std::atomic<bool> FlightRecorder::enabled_{EnabledFromEnv()};
-#endif
 
 FlightRecorder::FlightRecorder() : state_(new State) {
   state_->options.ring_capacity = RoundUpPow2(state_->options.ring_capacity);
@@ -137,11 +135,7 @@ FlightRecorder& FlightRecorder::Global() {
 }
 
 void FlightRecorder::SetEnabled(bool on) {
-#if PDR_OBS_COMPILED
   enabled_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void FlightRecorder::Configure(const Options& options) {

@@ -4,8 +4,8 @@
 // answer "what does a typical query look like". Neither answers the
 // operator's first question after a deadline miss, a drift alert, or a
 // crash: "what exactly did THIS query do?" The flight recorder closes that
-// gap: every instrumented layer (FrEngine, PaEngine, PlaneSweep,
-// BufferPool, Wal, ResilientExecutor, ThreadPool, PdrMonitor) emits
+// gap: every instrumented layer (FrEngine, PaEngine, BufferPool, Wal,
+// ResilientExecutor, ThreadPool, PdrMonitor) emits
 // compact binary micro-events into lock-free per-thread ring buffers, and
 // on an incident the rings are snapshotted into a JSONL dump plus a Chrome
 // trace-event file (Perfetto-loadable), keyed by query id.
@@ -16,7 +16,6 @@
 //   * enabled: one ObsClock read plus four relaxed atomic stores into the
 //     calling thread's own ring (~tens of ns). No locks, no allocation
 //     after the ring is built; producers never contend with each other.
-//   * compiled out (PDR_OBS=OFF): every site folds away entirely.
 //
 // Ring semantics: each thread owns one single-producer ring of
 // `ring_capacity` events (a power of two). The head counter grows forever;
@@ -74,7 +73,7 @@ enum class FrEvent : uint8_t {
   kCancelled,       ///< a = AnswerTier cancelled, b = elapsed us
   kShed,            ///< a = tick shed at admission control
   kTaskRun,         ///< a = pool task sequence number
-  kCheckpoint,      ///< a = tick, b = pages logged
+  kCheckpoint,      ///< a = tick, b = pages this checkpoint logged
   kFftField,        ///< a = q_t the density field was built for, b = grid m
   kCorruption,      ///< a = page id (-1 = checkpoint blob), b = 1 repaired
   kScan,            ///< a = TPR-tree nodes visited, b = leaf entries emitted
@@ -129,13 +128,7 @@ class FlightRecorder {
   /// Master switch. Off by default; the environment variable
   /// PDR_FLIGHT_RECORDER=1 turns it on at first use (benches, tools).
   static void SetEnabled(bool on);
-  static bool Enabled() {
-#if PDR_OBS_COMPILED
-    return enabled_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Records one micro-event on the calling thread's ring. Safe from any
   /// thread at any time; a single load+branch when disabled.
@@ -234,9 +227,7 @@ class FlightRecorder {
   FlightRecorder();
   void RecordImpl(FrEvent kind, int64_t a, int64_t b);
 
-#if PDR_OBS_COMPILED
   static std::atomic<bool> enabled_;
-#endif
   std::atomic<int64_t> dumps_{0};
 
   struct State;

@@ -9,10 +9,6 @@
 //     gated on a sink being installed: with no sink, a TraceSpan
 //     constructor is a single relaxed atomic load.
 //
-// Compile-time kill switch: configuring with -DPDR_OBS=OFF defines
-// PDR_OBS_DISABLED, which pins PdrObs::Enabled() to `false` as a constant
-// so every instrumentation site folds away entirely.
-//
 // Runtime: the master switch defaults to ON; set the environment variable
 // PDR_OBS=0 before process start (or call PdrObs::SetEnabled(false)) to
 // turn all instrumentation off.
@@ -22,41 +18,22 @@
 
 #include <atomic>
 
-#ifdef PDR_OBS_DISABLED
-#define PDR_OBS_COMPILED 0
-#else
-#define PDR_OBS_COMPILED 1
-#endif
-
 namespace pdr {
 
 class TraceSink;
 
 class PdrObs {
  public:
-  /// True when the layer is compiled in (PDR_OBS cmake option).
-  static constexpr bool CompiledIn() { return PDR_OBS_COMPILED != 0; }
-
   /// Master runtime switch. Defaults to the PDR_OBS environment variable
-  /// ("0" disables), else on. Always false when compiled out.
-  static bool Enabled() {
-#if PDR_OBS_COMPILED
-    return enabled_.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  /// ("0" disables), else on.
+  static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
   static void SetEnabled(bool on);
 
   /// Installs the trace sink (not owned; nullptr uninstalls). Completed
   /// root spans are delivered to the sink, which must be thread-safe.
   static void SetTraceSink(TraceSink* sink);
   static TraceSink* trace_sink() {
-#if PDR_OBS_COMPILED
     return sink_.load(std::memory_order_acquire);
-#else
-    return nullptr;
-#endif
   }
 
   /// True when spans should be recorded: enabled and a sink is installed.
@@ -65,10 +42,8 @@ class PdrObs {
   }
 
  private:
-#if PDR_OBS_COMPILED
   static std::atomic<bool> enabled_;
   static std::atomic<TraceSink*> sink_;
-#endif
 };
 
 }  // namespace pdr

@@ -8,7 +8,6 @@
 
 namespace pdr {
 
-#if PDR_OBS_COMPILED
 namespace {
 
 bool InitialEnabled() {
@@ -20,22 +19,13 @@ bool InitialEnabled() {
 
 std::atomic<bool> PdrObs::enabled_{InitialEnabled()};
 std::atomic<TraceSink*> PdrObs::sink_{nullptr};
-#endif
 
 void PdrObs::SetEnabled(bool on) {
-#if PDR_OBS_COMPILED
   enabled_.store(on, std::memory_order_relaxed);
-#else
-  (void)on;
-#endif
 }
 
 void PdrObs::SetTraceSink(TraceSink* sink) {
-#if PDR_OBS_COMPILED
   sink_.store(sink, std::memory_order_release);
-#else
-  (void)sink;
-#endif
 }
 
 double Histogram::BucketLowerBound(int i) {

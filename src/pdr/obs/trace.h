@@ -7,19 +7,20 @@
 //
 //   fr.query
 //   ├─ fr.filter
-//   ├─ tpr.scan
-//   └─ fr.cell (per candidate)
-//      └─ sweep.cell
+//   ├─ tpr.scan     (the query's one index traversal)
+//   ├─ fr.cell      (per candidate: gather + plane sweep)
+//   └─ fr.coalesce
 //
-// without any explicit plumbing between layers. Spans carry wall time
+// without any explicit plumbing between layers. Every one of these spans
+// is opened by FrQueryCore, the function that owns the query; the index
+// traversal and the plane sweep only return their work counts. Spans carry wall time
 // (steady-clock start + duration), the opening thread's id, and named
 // numeric attributes (I/O deltas, cell ids, counter values). When the
 // outermost span of a thread closes, the finished tree is handed to the
 // installed TraceSink.
 //
 // Cost: with no sink installed the TraceSpan constructor is one relaxed
-// atomic load and the destructor a null check; when the layer is compiled
-// out both fold away entirely.
+// atomic load and the destructor a null check.
 //
 // Threading: the span stack is thread-local (each thread builds its own
 // trees); sinks receive trees from any thread and must be thread-safe.

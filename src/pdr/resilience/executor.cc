@@ -196,15 +196,7 @@ TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
       out.region = std::move(exact.region);
       out.cost = exact.cost;
       out.tier = AnswerTier::kExact;
-      explain.stages.push_back({"filter", exact.filter_ms, true});
-      explain.stages.push_back({"refine", exact.refine_ms, true});
-      explain.accepted_cells = exact.accepted_cells;
-      explain.rejected_cells = exact.rejected_cells;
-      explain.candidate_cells = exact.candidate_cells;
-      explain.objects_fetched = exact.objects_fetched;
-      explain.dense_rects = exact.sweep.dense_rects;
-      explain.pages_read_physical = exact.cost.io.physical_reads;
-      explain.pages_read_logical = exact.cost.io.logical_reads;
+      exact.FillExplain(&explain);
       return finish(&out);
     } catch (const CancelledError&) {
       out.timed_out = true;
@@ -295,10 +287,7 @@ TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
       out.region = std::move(approx.region);
       out.cost = approx.cost;
       out.tier = AnswerTier::kApprox;
-      explain.stages.push_back(
-          {"approx", timer.ElapsedMillis() - approx_start_ms, true});
-      explain.bnb_nodes = approx.bnb.nodes_visited;
-      explain.bnb_pruned = approx.bnb.pruned_boxes;
+      approx.FillExplain(&explain, timer.ElapsedMillis() - approx_start_ms);
       return finish(&out);
     } catch (const CancelledError&) {
       out.timed_out = true;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pdr/obs/obs.h"
-
 namespace pdr {
 namespace {
 
@@ -109,7 +107,7 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
   if (n_min <= 0) {
     // Degenerate threshold: everything is dense.
     result.push_back(cell);
-    if (stats != nullptr) ++stats->dense_rects;
+    ++stats->dense_rects;
     return result;
   }
   if (static_cast<int64_t>(positions.size()) < n_min) return result;
@@ -170,7 +168,7 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
   for (size_t i = 0; i + 1 < xs.size(); ++i) {
     if (ctl != nullptr) ctl->Check();  // cancellation point per X-strip
     const double x = xs[i];
-    if (stats != nullptr) ++stats->x_strips;
+    ++stats->x_strips;
     // Admit objects whose entry coordinate has been reached...
     for (; next_entry < by_entry.size() && by_entry[next_entry].x <= x;
          ++next_entry, ++band) {
@@ -182,13 +180,13 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
       cover.Add(by_exit[next_exit].y_lo, by_exit[next_exit].y_hi, -1);
     }
     if (band < n_min) continue;
-    if (stats != nullptr) ++stats->y_sweeps;
+    ++stats->y_sweeps;
 
     const int64_t visits = cover.Report(n_min, [&](int lo, int hi) {
       result.emplace_back(x, ys[lo], xs[i + 1], ys[hi]);
-      if (stats != nullptr) ++stats->dense_rects;
+      ++stats->dense_rects;
     });
-    if (stats != nullptr) stats->y_strips += visits;
+    stats->y_strips += visits;
   }
   return result;
 }
@@ -199,33 +197,9 @@ std::vector<Rect> SweepCell(const Rect& cell,
                             const std::vector<Vec2>& positions, double l,
                             int64_t n_min, SweepStats* stats,
                             const QueryControl* ctl) {
-  TraceSpan span("sweep.cell");
   SweepStats local;
   std::vector<Rect> result =
       SweepCellImpl(cell, positions, l, n_min, &local, ctl);
-
-  static Counter& cells =
-      MetricsRegistry::Global().GetCounter("pdr.sweep.cells");
-  static Counter& x_strips =
-      MetricsRegistry::Global().GetCounter("pdr.sweep.x_strips");
-  static Counter& y_sweeps =
-      MetricsRegistry::Global().GetCounter("pdr.sweep.y_sweeps");
-  static Counter& y_strips =
-      MetricsRegistry::Global().GetCounter("pdr.sweep.y_strips");
-  static Counter& dense_rects =
-      MetricsRegistry::Global().GetCounter("pdr.sweep.dense_rects");
-  cells.Increment();
-  x_strips.Add(local.x_strips);
-  y_sweeps.Add(local.y_sweeps);
-  y_strips.Add(local.y_strips);
-  dense_rects.Add(local.dense_rects);
-
-  if (span.active()) {
-    span.SetAttr("positions", static_cast<int64_t>(positions.size()));
-    span.SetAttr("x_strips", local.x_strips);
-    span.SetAttr("y_sweeps", local.y_sweeps);
-    span.SetAttr("dense_rects", local.dense_rects);
-  }
   if (stats != nullptr) *stats += local;
   return result;
 }

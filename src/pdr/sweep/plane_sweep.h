@@ -35,7 +35,8 @@
 
 namespace pdr {
 
-/// Work counters for the sweep (used by benches and tests).
+/// Work counters for the sweep. The sweep only returns them; its caller
+/// reports them (FR publishes `pdr.sweep.*` once per query).
 struct SweepStats {
   int64_t x_strips = 0;    ///< strips between consecutive X events
   int64_t y_sweeps = 0;    ///< strips whose band population met n_min

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 #include "pdr/storage/disk_pager.h"
 #include "pdr/storage/serde.h"
@@ -670,18 +669,15 @@ void TprTree::PublishShapeGauges() const {
   pages_gauge.Set(static_cast<double>(node_count_));
 }
 
-void TprTree::Traverse(BufferPool& pool, PageId root, Tick t,
-                       const NodeFilter& enter, const EntrySink& sink,
-                       const QueryControl* ctl) {
-  TraceSpan span("tpr.scan");
-  const IoStats io_before = span.active() ? pool.stats() : IoStats{};
+ScanStats TprTree::Traverse(BufferPool& pool, PageId root, Tick t,
+                            const NodeFilter& enter, const EntrySink& sink,
+                            const QueryControl* ctl) {
   static Counter& queries =
       MetricsRegistry::Global().GetCounter("pdr.tpr.range_queries");
   static Counter& nodes_counter =
       MetricsRegistry::Global().GetCounter("pdr.tpr.nodes_visited");
   queries.Increment();
-  int64_t nodes_visited = 0;
-  int64_t entries = 0;
+  ScanStats scan;
 
   std::vector<PageId> stack;
   if (root != kInvalidPageId) stack.push_back(root);
@@ -689,12 +685,12 @@ void TprTree::Traverse(BufferPool& pool, PageId root, Tick t,
     if (ctl != nullptr) ctl->Check();
     const PageId node_id = stack.back();
     stack.pop_back();
-    ++nodes_visited;
+    ++scan.nodes_visited;
     auto ref = pool.Fetch(node_id);
     const NodeHeader* header = ref->As<NodeHeader>();
     if (header->is_leaf) {
       const auto* node = ref->As<LeafLayout>();
-      entries += header->count;
+      scan.entries += header->count;
       for (uint16_t i = 0; i < header->count; ++i) {
         sink(node->entries[i].id, node->entries[i].ToState());
       }
@@ -707,15 +703,8 @@ void TprTree::Traverse(BufferPool& pool, PageId root, Tick t,
       }
     }
   }
-  nodes_counter.Add(nodes_visited);
-  FlightRecorder::Record(FrEvent::kScan, nodes_visited, entries);
-  if (span.active()) {
-    const IoStats delta = pool.stats() - io_before;
-    span.SetAttr("nodes_visited", nodes_visited);
-    span.SetAttr("entries", entries);
-    span.SetAttr("io_reads", delta.physical_reads);
-    span.SetAttr("io_logical", delta.logical_reads);
-  }
+  nodes_counter.Add(scan.nodes_visited);
+  return scan;
 }
 
 void TprTree::CheckInvariants() {

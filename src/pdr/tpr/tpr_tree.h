@@ -76,6 +76,12 @@ struct Tpbr {
   static constexpr int kAreaSamples = 5;
 };
 
+/// Work counts of one TprTree::Traverse.
+struct ScanStats {
+  int64_t nodes_visited = 0;  ///< pages fetched (one per visited node)
+  int64_t entries = 0;        ///< leaf entries handed to the sink
+};
+
 class TprTree {
  public:
   struct Options {
@@ -126,12 +132,13 @@ class TprTree {
   /// Visits the root, then every child whose rectangle at tick `t` passes
   /// `enter`, fetching each visited page once, and hands every entry of
   /// every visited leaf to `sink`. Polls `ctl` (when non-null) once per
-  /// visited node. Counts one `pdr.tpr.range_queries` per call, and
-  /// records one `kScan` flight-recorder event and a `tpr.scan` span
-  /// carrying the nodes visited, entries emitted and the pool's I/O delta.
-  static void Traverse(BufferPool& pool, PageId root, Tick t,
-                       const NodeFilter& enter, const EntrySink& sink,
-                       const QueryControl* ctl = nullptr);
+  /// visited node. Counts one `pdr.tpr.range_queries` per call and the
+  /// nodes it visited in `pdr.tpr.nodes_visited`; opens no span and
+  /// records no flight-recorder event — the caller that owns the query
+  /// reports the scan from the returned counts.
+  static ScanStats Traverse(BufferPool& pool, PageId root, Tick t,
+                            const NodeFilter& enter, const EntrySink& sink,
+                            const QueryControl* ctl = nullptr);
 
   /// Sets the `pdr.tpr.height` / `pdr.tpr.node_pages` gauges to the
   /// current shape. Called per query, so the gauges track splits and

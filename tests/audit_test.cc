@@ -89,13 +89,6 @@ class AuditTest : public ::testing::Test {
   }
 };
 
-// Verdict math works even with observability compiled out; tests that
-// read the registry back (or rely on runtime sampling) skip under
-// -DPDR_OBS=OFF, matching obs_test.
-#define REQUIRE_OBS_COMPILED_IN()                                  \
-  if (!PdrObs::CompiledIn())                                       \
-  GTEST_SKIP() << "observability compiled out (PDR_OBS=OFF)"
-
 TEST_F(AuditTest, HighDegreePaScoresNearPerfect) {
   AuditRig rig(/*degree=*/12);
   ShadowAuditor auditor = rig.MakeAuditor();
@@ -132,7 +125,6 @@ TEST_F(AuditTest, CoefficientTruncationLosesRecall) {
 }
 
 TEST_F(AuditTest, VerdictsPublishRegistryMetrics) {
-  REQUIRE_OBS_COMPILED_IN();
   AuditRig rig(/*degree=*/12);
   ShadowAuditor auditor = rig.MakeAuditor();
   (void)auditor.Audit(0, kRho, rig.pa.Query(0, kRho).region);
@@ -164,7 +156,6 @@ TEST_F(AuditTest, SampleRateZeroNeverAudits) {
 }
 
 TEST_F(AuditTest, RuntimeDisabledSkipsSampling) {
-  REQUIRE_OBS_COMPILED_IN();
   AuditRig rig(/*degree=*/4);
   ShadowAuditor auditor = rig.MakeAuditor(/*rate=*/1.0);
   const Region pa_region = rig.pa.Query(0, kRho).region;
@@ -175,7 +166,6 @@ TEST_F(AuditTest, RuntimeDisabledSkipsSampling) {
 }
 
 TEST_F(AuditTest, MonitorCarriesVerdictOnDelta) {
-  REQUIRE_OBS_COMPILED_IN();
   AuditRig rig(/*degree=*/12);
   ShadowAuditor auditor = rig.MakeAuditor();
   PdrMonitor monitor(&rig.pa, {.rho = kRho, .l = kL, .lookahead = 0});
@@ -204,7 +194,6 @@ TEST_F(AuditTest, ZeroSlackPredictionMatchesFilterExactly) {
 }
 
 TEST_F(AuditTest, SlackWidensCandidateBandAndStaysCalibrated) {
-  REQUIRE_OBS_COMPILED_IN();
   AuditRig rig(/*degree=*/4);
   CostCalibrator tight(&rig.fr, {.z = 0.0});
   CostCalibrator calibrator(&rig.fr);  // default z = 2
@@ -235,7 +224,6 @@ TEST_F(AuditTest, SlackWidensCandidateBandAndStaysCalibrated) {
 // windows cover most of the domain touches most of the tree once — not
 // once per candidate cell. The page model must track that within 2x.
 TEST_F(AuditTest, IoModelTracksOneScanOnManyCandidateColdWorkload) {
-  REQUIRE_OBS_COMPILED_IN();
   constexpr int kObjects = 6000;
   FrEngine fr({.extent = kExtent,
                .histogram_side = 25,
@@ -321,7 +309,6 @@ std::string ReadWholeFile(const std::string& path) {
 }
 
 TEST_F(AuditTest, ReporterEmitsAuditWindowJsonl) {
-  REQUIRE_OBS_COMPILED_IN();
   AuditRig rig(/*degree=*/12);
   ShadowAuditor auditor = rig.MakeAuditor();
   CostCalibrator calibrator(&rig.fr);
@@ -352,7 +339,6 @@ TEST_F(AuditTest, ReporterEmitsAuditWindowJsonl) {
 }
 
 TEST_F(AuditTest, ReporterWindowDiffIsolatesNewObservations) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram& h = MetricsRegistry::Global().GetHistogram("pdr.test.window");
   h.Observe(10.0);
   const auto before = MetricsRegistry::Global().TakeSnapshot();
@@ -374,7 +360,6 @@ TEST_F(AuditTest, ReporterWindowDiffIsolatesNewObservations) {
 }
 
 TEST_F(AuditTest, ReporterFinalReportListsPercentiles) {
-  REQUIRE_OBS_COMPILED_IN();
   AuditRig rig(/*degree=*/12);
   ShadowAuditor auditor = rig.MakeAuditor();
   (void)auditor.Audit(0, kRho, rig.pa.Query(0, kRho).region);

@@ -44,7 +44,6 @@ std::string RenderToString(Fn&& fn) {
 class FlightRecorderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!PdrObs::CompiledIn()) GTEST_SKIP() << "obs compiled out";
     FlightRecorder::Global().Reset();
     FlightRecorder::Options options;
     options.ring_capacity = 1 << 10;
@@ -52,7 +51,6 @@ class FlightRecorderTest : public ::testing::Test {
     FlightRecorder::SetEnabled(true);
   }
   void TearDown() override {
-    if (!PdrObs::CompiledIn()) return;
     FlightRecorder::SetEnabled(false);
     FlightRecorder::Global().Reset();
     FlightRecorder::Global().Configure(FlightRecorder::Options{});
@@ -472,7 +470,6 @@ TEST(SloMonitorTest, BurnRatesAreQueryable) {
 // Prometheus exposition
 
 TEST(PrometheusExportTest, SanitizesNamesAndPreservesLabels) {
-  if (!PdrObs::CompiledIn()) GTEST_SKIP() << "obs compiled out";
   PdrObs::SetEnabled(true);
   MetricsRegistry registry;
   registry.GetCounter("pdr.monitor.ticks").Add(41);

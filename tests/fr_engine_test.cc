@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "pdr/common/random.h"
 #include "pdr/core/metrics.h"
@@ -376,7 +378,6 @@ TEST(FrEngineTest, ScanBucketsPositionsFarOffTheDomain) {
 // event summed over the candidates, end, plus one per physical read. The
 // query is also one traversal in `pdr.tpr.range_queries`.
 TEST(FrEngineTest, RecorderSeesOneEventPerStage) {
-  if (!PdrObs::CompiledIn()) GTEST_SKIP() << "obs compiled out";
   FrEngine fr(SmallOptions());
   for (const UpdateEvent& e : MakeUniformInserts(3000, kExtent, 1.5, 76)) {
     fr.Apply(e);
@@ -395,7 +396,23 @@ TEST(FrEngineTest, RecorderSeesOneEventPerStage) {
   EXPECT_EQ(traversals.value() - traversals_before, 1);
 
   std::map<FrEvent, int> kinds;
-  for (const MicroEvent& e : events) ++kinds[e.kind];
+  std::map<FrEvent, int64_t> stage_ts;
+  int64_t last_fault_ts = 0;
+  for (const MicroEvent& e : events) {
+    ++kinds[e.kind];
+    if (e.kind == FrEvent::kPageFault) {
+      last_fault_ts = std::max(last_fault_ts, e.ts_ns);
+    } else {
+      stage_ts[e.kind] = e.ts_ns;
+    }
+  }
+  // The stages come in pipeline order, and the scan is reported when the
+  // traversal returns, after every page it faulted in.
+  EXPECT_LE(stage_ts[FrEvent::kQueryBegin], stage_ts[FrEvent::kFilter]);
+  EXPECT_LE(stage_ts[FrEvent::kFilter], stage_ts[FrEvent::kScan]);
+  EXPECT_LE(stage_ts[FrEvent::kScan], stage_ts[FrEvent::kSweep]);
+  EXPECT_LE(stage_ts[FrEvent::kSweep], stage_ts[FrEvent::kQueryEnd]);
+  EXPECT_LE(last_fault_ts, stage_ts[FrEvent::kScan]);
   EXPECT_EQ(kinds[FrEvent::kQueryBegin], 1);
   EXPECT_EQ(kinds[FrEvent::kFilter], 1);
   EXPECT_EQ(kinds[FrEvent::kScan], 1);
@@ -416,6 +433,103 @@ TEST(FrEngineTest, RecorderSeesOneEventPerStage) {
     }
   }
 }
+
+// Stage reporting belongs to the query: FrQueryCore opens every span of
+// the FR trace tree and publishes the plane sweep's metrics once, from the
+// summed counts, at any thread count.
+class FrStageReportTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    fr_.SetExecPolicy({.threads = GetParam()});
+    for (const UpdateEvent& e : MakeUniformInserts(3000, kExtent, 1.5, 76)) {
+      fr_.Apply(e);
+    }
+  }
+
+  FrEngine::QueryResult Query() {
+    const double rho = 1.2 * 3000 / (kExtent * kExtent);
+    return fr_.Query(/*q_t=*/2, rho, 20.0, /*cold_cache=*/true);
+  }
+
+  FrEngine fr_{SmallOptions()};
+};
+
+// Each span lasts at least as long as its children together (serial
+// execution: children do not overlap).
+void ExpectSpansCoverChildren(const SpanNode& node) {
+  int64_t children_ns = 0;
+  for (const auto& child : node.children) {
+    children_ns += child->duration_ns;
+    ExpectSpansCoverChildren(*child);
+  }
+  EXPECT_GE(node.duration_ns, children_ns) << node.name;
+}
+
+TEST_P(FrStageReportTest, TraceTreeIsTheQueryStages) {
+  PdrObs::SetEnabled(true);
+  CollectingSink sink;
+  PdrObs::SetTraceSink(&sink);
+  const auto got = Query();
+  PdrObs::SetTraceSink(nullptr);
+  const auto traces = sink.TakeAll();
+  ASSERT_EQ(traces.size(), 1u);
+  const SpanNode& root = *traces[0];
+  EXPECT_EQ(root.name, "fr.query");
+  ASSERT_GT(got.candidate_cells, 10);
+  ASSERT_EQ(root.children.size(),
+            static_cast<size_t>(got.candidate_cells) + 3);
+  EXPECT_EQ(root.children[0]->name, "fr.filter");
+  EXPECT_EQ(root.children[1]->name, "tpr.scan");
+  for (size_t i = 2; i + 1 < root.children.size(); ++i) {
+    EXPECT_EQ(root.children[i]->name, "fr.cell");
+  }
+  EXPECT_EQ(root.children.back()->name, "fr.coalesce");
+  for (const auto& child : root.children) {
+    EXPECT_TRUE(child->children.empty()) << child->name;
+  }
+
+  // The scan is the query's only page reader.
+  const SpanNode& scan = *root.children[1];
+  EXPECT_GT(got.cost.io.physical_reads, 0);
+  EXPECT_EQ(root.IntAttrOr("io_reads", -1), got.cost.io.physical_reads);
+  EXPECT_EQ(scan.IntAttrOr("io_reads", -1), got.cost.io.physical_reads);
+  EXPECT_EQ(scan.IntAttrOr("io_logical", -1), got.cost.io.logical_reads);
+  EXPECT_EQ(scan.IntAttrOr("nodes_visited", -1), got.cost.io.logical_reads);
+  if (GetParam() == 1) ExpectSpansCoverChildren(root);
+}
+
+TEST_P(FrStageReportTest, SweepMetricsCountOncePerQuery) {
+  PdrObs::SetEnabled(true);
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto read = [&registry] {
+    std::vector<int64_t> values;
+    for (const char* name :
+         {"pdr.sweep.cells", "pdr.sweep.x_strips", "pdr.sweep.y_sweeps",
+          "pdr.sweep.y_strips", "pdr.sweep.dense_rects"}) {
+      values.push_back(registry.GetCounter(name).value());
+    }
+    return values;
+  };
+  const std::vector<int64_t> before = read();
+  const auto got = Query();
+  const std::vector<int64_t> after = read();
+  ASSERT_GT(got.sweep.dense_rects, 0);
+  EXPECT_EQ(after[0] - before[0], got.candidate_cells);
+  EXPECT_EQ(after[1] - before[1], got.sweep.x_strips);
+  EXPECT_EQ(after[2] - before[2], got.sweep.y_sweeps);
+  EXPECT_EQ(after[3] - before[3], got.sweep.y_strips);
+  EXPECT_EQ(after[4] - before[4], got.sweep.dense_rects);
+
+  // A bare plane sweep returns its counts and reports nothing.
+  SweepStats stats;
+  const auto rects =
+      SweepCell(Rect(0, 0, 10, 10), {{5, 5}, {5, 6}, {6, 5}}, 4.0, 2, &stats);
+  EXPECT_FALSE(rects.empty());
+  EXPECT_GT(stats.x_strips, 0);
+  EXPECT_EQ(read(), after);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, FrStageReportTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace pdr

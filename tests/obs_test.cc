@@ -194,14 +194,7 @@ class ObsTest : public ::testing::Test {
   void TearDown() override { PdrObs::SetTraceSink(nullptr); }
 };
 
-// Tests that need counters to count / spans to open start with this so that
-// a -DPDR_OBS=OFF build skips them instead of failing.
-#define REQUIRE_OBS_COMPILED_IN()                                  \
-  if (!PdrObs::CompiledIn())                                       \
-  GTEST_SKIP() << "observability compiled out (PDR_OBS=OFF)"
-
 TEST_F(ObsTest, CounterBasics) {
-  REQUIRE_OBS_COMPILED_IN();
   Counter& c = MetricsRegistry::Global().GetCounter("test.counter");
   EXPECT_EQ(c.value(), 0);
   c.Increment();
@@ -217,7 +210,6 @@ TEST_F(ObsTest, CounterBasics) {
 }
 
 TEST_F(ObsTest, CounterRespectsEnabledSwitch) {
-  REQUIRE_OBS_COMPILED_IN();
   Counter& c = MetricsRegistry::Global().GetCounter("test.gated");
   PdrObs::SetEnabled(false);
   c.Add(5);
@@ -228,7 +220,6 @@ TEST_F(ObsTest, CounterRespectsEnabledSwitch) {
 }
 
 TEST_F(ObsTest, GaugeLastWriteWins) {
-  REQUIRE_OBS_COMPILED_IN();
   Gauge& g = MetricsRegistry::Global().GetGauge("test.gauge");
   g.Set(2.5);
   g.Set(7.25);
@@ -249,7 +240,6 @@ TEST_F(ObsTest, HistogramBucketsAreLogScaled) {
 }
 
 TEST_F(ObsTest, HistogramObserveTracksWelfordStats) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram& h = MetricsRegistry::Global().GetHistogram("test.histo");
   for (const double v : {1.0, 2.0, 3.0, 4.0}) h.Observe(v);
   const RunningStat stat = h.stat();
@@ -272,7 +262,6 @@ TEST_F(ObsTest, HistogramObserveTracksWelfordStats) {
 }
 
 TEST_F(ObsTest, HistogramPercentilesInterpolateWithinBuckets) {
-  REQUIRE_OBS_COMPILED_IN();
   Histogram& h = MetricsRegistry::Global().GetHistogram("test.pctl");
   EXPECT_DOUBLE_EQ(h.Percentile(50), 0.0);  // empty
   for (int v = 1; v <= 100; ++v) h.Observe(static_cast<double>(v));
@@ -315,7 +304,6 @@ TEST_F(ObsTest, HistogramPercentileOverRawBuckets) {
 }
 
 TEST_F(ObsTest, SnapshotListsEverythingSorted) {
-  REQUIRE_OBS_COMPILED_IN();
   MetricsRegistry::Global().GetCounter("test.b").Add(2);
   MetricsRegistry::Global().GetCounter("test.a").Add(1);
   MetricsRegistry::Global().GetGauge("test.g").Set(3.0);
@@ -344,7 +332,6 @@ TEST_F(ObsTest, SpanWithoutSinkIsInactive) {
 }
 
 TEST_F(ObsTest, SpanNestingAndTimingContainment) {
-  REQUIRE_OBS_COMPILED_IN();
   CollectingSink sink;
   PdrObs::SetTraceSink(&sink);
   {
@@ -387,7 +374,6 @@ TEST_F(ObsTest, SpanNestingAndTimingContainment) {
 }
 
 TEST_F(ObsTest, RootSpansAreDeliveredPerTree) {
-  REQUIRE_OBS_COMPILED_IN();
   CollectingSink sink;
   PdrObs::SetTraceSink(&sink);
   for (int i = 0; i < 3; ++i) {
@@ -410,7 +396,6 @@ TEST_F(ObsTest, DisabledTracingProducesNoSpans) {
 }
 
 TEST_F(ObsTest, SpanJsonRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
   CollectingSink sink;
   PdrObs::SetTraceSink(&sink);
   {
@@ -461,7 +446,6 @@ TEST_F(ObsTest, SpanJsonRoundTrip) {
 // corrupted the children vector, visible under TSan). Also checks that
 // per-thread ids survive into the tree and the JSONL export.
 TEST_F(ObsTest, ConcurrentChildSpansAssembleIntoOneTree) {
-  REQUIRE_OBS_COMPILED_IN();
   CollectingSink sink;
   PdrObs::SetTraceSink(&sink);
   constexpr int kWorkers = 4;
@@ -513,7 +497,6 @@ TEST_F(ObsTest, ConcurrentChildSpansAssembleIntoOneTree) {
 }
 
 TEST_F(ObsTest, MetricsJsonlRoundTrip) {
-  REQUIRE_OBS_COMPILED_IN();
   MetricsRegistry::Global().GetCounter("test.jsonl.counter").Add(17);
   MetricsRegistry::Global().GetGauge("test.jsonl.gauge").Set(2.5);
   Histogram& h = MetricsRegistry::Global().GetHistogram("test.jsonl.histo");
@@ -567,7 +550,6 @@ TEST_F(ObsTest, MetricsJsonlRoundTrip) {
 }
 
 TEST_F(ObsTest, MultiThreadedCounterHammer) {
-  REQUIRE_OBS_COMPILED_IN();
   Counter& c = MetricsRegistry::Global().GetCounter("test.hammer");
   Histogram& h = MetricsRegistry::Global().GetHistogram("test.hammer_ms");
   constexpr int kThreads = 8;

@@ -7,6 +7,7 @@
 #include "pdr/core/oracle.h"
 #include "pdr/core/simulation.h"
 #include "pdr/mobility/generator.h"
+#include "pdr/obs/obs.h"
 
 namespace pdr {
 namespace {
@@ -167,6 +168,39 @@ TEST(PaEngineTest, MorePolynomialsImproveAccuracy) {
   EXPECT_LT(fine, coarse + 0.05)
       << "g=2 err " << coarse << " vs g=10 err " << fine;
 }
+
+// The branch-and-bound's metrics are published once per query from the
+// merged counts, so they equal the query's BnbStats at any thread count.
+class PaBnbMetricsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(PaBnbMetricsTest, CountOncePerQuery) {
+  PdrObs::SetEnabled(true);
+  PaEngine pa(SmallOptions());
+  pa.SetExecPolicy({.threads = GetParam()});
+  for (const UpdateEvent& e :
+       MakeClusteredInserts(3000, 3, kExtent, 10.0, 0.2, 52)) {
+    pa.Apply(e);
+  }
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const auto read = [&registry] {
+    std::vector<int64_t> values;
+    for (const char* name : {"pdr.pa.bnb_nodes", "pdr.pa.bnb_pruned",
+                             "pdr.pa.bnb_accepted", "pdr.pa.bnb_point_evals"}) {
+      values.push_back(registry.GetCounter(name).value());
+    }
+    return values;
+  };
+  const std::vector<int64_t> before = read();
+  const auto got = pa.Query(0, 2.0 * 3000 / (kExtent * kExtent));
+  const std::vector<int64_t> after = read();
+  ASSERT_GT(got.bnb.nodes_visited, 0);
+  EXPECT_EQ(after[0] - before[0], got.bnb.nodes_visited);
+  EXPECT_EQ(after[1] - before[1], got.bnb.pruned_boxes);
+  EXPECT_EQ(after[2] - before[2], got.bnb.accepted_boxes);
+  EXPECT_EQ(after[3] - before[3], got.bnb.point_evals);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, PaBnbMetricsTest, ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace pdr

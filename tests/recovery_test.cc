@@ -384,6 +384,41 @@ TEST(MonitorDurabilityTest, CheckpointHookDrivesCadence) {
   EXPECT_EQ(disk->epoch(), 3u);
 }
 
+// The checkpoint event is recorded once the checkpoint commits, carrying
+// the clock and the pages that one checkpoint logged (not the store's
+// running total).
+TEST(CheckpointEventTest, RecordsTickAndPagesLogged) {
+  const Dataset ds = MakeWorkload();
+  TempDir dir;
+  FrEngine fr(Opts(dir.path(), nullptr));
+  Replay(ds, 0, kPhaseSplit, &fr);
+  fr.Checkpoint();
+  Replay(ds, kPhaseSplit + 1, ds.duration(), &fr);
+  const DiskPager* disk = fr.index().disk();
+  ASSERT_NE(disk, nullptr);
+  const int64_t logged_before = disk->checkpoint_stats().pages_logged;
+
+  FlightRecorder& rec = FlightRecorder::Global();
+  rec.Reset();
+  FlightRecorder::SetEnabled(true);
+  fr.Checkpoint();
+  FlightRecorder::SetEnabled(false);
+  const std::vector<MicroEvent> events = rec.Snapshot();
+  rec.Reset();
+
+  const int64_t logged = disk->checkpoint_stats().pages_logged - logged_before;
+  EXPECT_GT(logged, 0);
+  EXPECT_GT(logged_before, 0);
+  int checkpoints = 0;
+  for (const MicroEvent& e : events) {
+    if (e.kind != FrEvent::kCheckpoint) continue;
+    ++checkpoints;
+    EXPECT_EQ(e.a, fr.now());
+    EXPECT_EQ(e.b, logged);
+  }
+  EXPECT_EQ(checkpoints, 1);
+}
+
 // An injected crash must leave a post-mortem behind: with the recorder
 // enabled, kOnCrash armed, and a dump directory configured, constructing
 // the CrashError itself snapshots the rings into a JSONL + Chrome-trace
@@ -391,7 +426,6 @@ TEST(MonitorDurabilityTest, CheckpointHookDrivesCadence) {
 // the fatal write are on disk even though the process (here: the test)
 // survives to recover.
 TEST(CrashDumpTest, InjectedCrashWritesFlightRecorderDump) {
-  if (!PdrObs::CompiledIn()) GTEST_SKIP() << "observability compiled out";
   const Dataset ds = MakeWorkload();
   TempDir store;
   TempDir dumps;
@@ -445,7 +479,6 @@ TEST(CrashDumpTest, InjectedCrashWritesFlightRecorderDump) {
 // exclude I/O counts precisely so a capture taken against the DiskPager
 // store verifies against the in-memory replay.
 TEST(CrashDumpTest, CrashBundleReplaysToSameSignatures) {
-  if (!PdrObs::CompiledIn()) GTEST_SKIP() << "observability compiled out";
   const Dataset ds = MakeWorkload();
   TempDir store;
   TempDir dumps;
