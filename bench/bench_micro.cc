@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -267,34 +268,29 @@ double ThreadCpuMs() {
          static_cast<double>(ts.tv_nsec) / 1e6;
 }
 
-// The recorder-overhead gate's probe (scripts/check_overhead.sh). Each
-// iteration is one round on ONE engine: kPerSide recorder-off queries and
-// kPerSide recorder-on queries, the side that goes first alternating
-// between rounds, each side timed by the thread's CPU clock. A round
-// yields one on/off ratio, and `overhead_pct` is the median ratio over
-// all rounds. Pairing inside a round cancels the host's drift, which
-// moved whole repetitions of separately timed off and on runs by several
-// percent, far more than the recorder costs.
-void BM_FrQueryRecorderPaired(benchmark::State& state) {
-  constexpr int kPerSide = 3;
-  const bool was_enabled = FlightRecorder::Enabled();
-  const auto fr = MakeFrQueryEngine();
+// The overhead gates' paired measurement. Each benchmark iteration is one
+// round: `per_side` calls of `run()` with `set_on(false)` and `per_side`
+// with `set_on(true)`, the side that goes first alternating between
+// rounds, each side timed by the thread's CPU clock. A round yields one
+// on/off ratio, and `overhead_pct` is the median ratio over all rounds.
+// Pairing inside a round cancels the host's drift, which moved whole
+// repetitions of separately timed off and on runs by several percent, far
+// more than the features under test cost.
+template <typename SetOn, typename Run>
+void RunPairedOverheadProbe(benchmark::State& state, int per_side,
+                            const SetOn& set_on, const Run& run) {
   std::vector<double> ratios;
   for (auto _ : state) {
     double side_ms[2] = {0.0, 0.0};  // [off, on]
     const bool on_first = ratios.size() % 2 == 1;
     for (const bool on : {on_first, !on_first}) {
-      FlightRecorder::SetEnabled(on);
+      set_on(on);
       const double start = ThreadCpuMs();
-      for (int i = 0; i < kPerSide; ++i) {
-        benchmark::DoNotOptimize(
-            fr->Query(/*q_t=*/5, kFrQueryRho, /*l=*/30.0));
-      }
+      for (int i = 0; i < per_side; ++i) run();
       side_ms[on] = ThreadCpuMs() - start;
     }
     ratios.push_back(side_ms[1] / side_ms[0]);
   }
-  FlightRecorder::SetEnabled(was_enabled);
   std::sort(ratios.begin(), ratios.end());
   const size_t n = ratios.size();
   const double median = n % 2 == 1 ? ratios[n / 2]
@@ -302,56 +298,82 @@ void BM_FrQueryRecorderPaired(benchmark::State& state) {
   state.counters["overhead_pct"] = 100.0 * (median - 1.0);
   state.counters["rounds"] = static_cast<double>(n);
 }
+
+// The flight-recorder overhead gate's probe (scripts/check_overhead.sh):
+// rounds of 3 recorder-off and 3 recorder-on FR queries on ONE engine.
+void BM_FrQueryRecorderPaired(benchmark::State& state) {
+  const bool was_enabled = FlightRecorder::Enabled();
+  const auto fr = MakeFrQueryEngine();
+  RunPairedOverheadProbe(
+      state, /*per_side=*/3, [](bool on) { FlightRecorder::SetEnabled(on); },
+      [&fr] {
+        benchmark::DoNotOptimize(
+            fr->Query(/*q_t=*/5, kFrQueryRho, /*l=*/30.0));
+      });
+  FlightRecorder::SetEnabled(was_enabled);
+}
 BENCHMARK(BM_FrQueryRecorderPaired)
     ->Iterations(150)
     ->Unit(benchmark::kMillisecond);
 
-// End-to-end monitor tick with and without the workload recorder: the
-// probe behind the CI recording-overhead gate (scripts/check_replay.sh).
-// Each tick runs the full FR query plus the delta computation; the
-// recorded variant additionally digests the answer (raw-bits transcript +
-// EXPLAIN signature hash) and appends one framed record to the log, so
-// the off/on delta bounds what always-on capture costs a serving process.
-// The workload is deliberately small (~1.5 ms/tick): a gate comparing two
-// minima needs hundreds of iterations per repetition for the per-rep
-// means to be stable, and the 20k-object query probe above fits only ~20
-// — at that count scheduler noise alone read as >8% phantom overhead.
-// The density is tuned so the answer is non-empty (a few hundred rects),
-// making the digest hash real answer bytes rather than an empty region.
-void RunMonitorTick(benchmark::State& state, bool recorded) {
-  constexpr double kTickExtent = 500.0;
-  constexpr int kTickObjects = 800;
-  FrEngine fr({.extent = kTickExtent,
-               .histogram_side = 25,
-               .horizon = kHorizon,
-               .buffer_pages = 256});
+// End-to-end monitor tick: the full FR query plus the delta computation.
+// The workload is deliberately small (~1.5 ms/tick) so the recording
+// probe below fits many ticks per round. The density is tuned so the
+// answer is non-empty (a few hundred rects), making the recorder's digest
+// hash real answer bytes rather than an empty region.
+constexpr double kTickExtent = 500.0;
+constexpr int kTickObjects = 800;
+
+std::unique_ptr<FrEngine> MakeMonitorTickEngine() {
+  auto fr = std::make_unique<FrEngine>(FrEngine::Options{
+      .extent = kTickExtent,
+      .histogram_side = 25,
+      .horizon = kHorizon,
+      .buffer_pages = 256});
   for (const auto& e : MakeUniformInserts(kTickObjects, kTickExtent, 1.5, 7))
-    fr.Apply(e);
-  const double rho = 3.0 * kTickObjects / (kTickExtent * kTickExtent);
-  PdrMonitor monitor(&fr, {.rho = rho, .l = 25.0, .lookahead = 5});
-  std::unique_ptr<WorkloadRecorder> recorder;
-  std::string path;
-  if (recorded) {
-    path = "/tmp/pdr_bench_monitor_tick_" +
-           std::to_string(static_cast<long long>(::getpid())) + ".wlog";
-    recorder = std::make_unique<WorkloadRecorder>(path, WorkloadLogHeader{});
-    monitor.SetRecorder(recorder.get());
-  }
+    fr->Apply(e);
+  return fr;
+}
+
+constexpr PdrMonitor::Options kMonitorTickOptions{
+    .rho = 3.0 * kTickObjects / (kTickExtent * kTickExtent),
+    .l = 25.0,
+    .lookahead = 5};
+
+void BM_MonitorTick(benchmark::State& state) {
+  const auto fr = MakeMonitorTickEngine();
+  PdrMonitor monitor(fr.get(), kMonitorTickOptions);
   for (auto _ : state) {
     benchmark::DoNotOptimize(monitor.OnTick(0));
   }
   state.SetItemsProcessed(state.iterations());
-  recorder.reset();
-  if (!path.empty()) std::remove(path.c_str());
 }
-
-void BM_MonitorTick(benchmark::State& state) { RunMonitorTick(state, false); }
 BENCHMARK(BM_MonitorTick);
 
-void BM_MonitorTickRecorded(benchmark::State& state) {
-  RunMonitorTick(state, true);
+// The workload-recording overhead gate's probe (scripts/check_replay.sh
+// lane 3): rounds of 8 unrecorded and 8 recorded ticks on ONE monitor. A
+// recorded tick also digests the answer (raw-bits transcript + EXPLAIN
+// signature hash) and appends one framed record to the log, so the ratio
+// bounds what always-on capture costs a serving process.
+void BM_MonitorTickRecorderPaired(benchmark::State& state) {
+  const auto fr = MakeMonitorTickEngine();
+  PdrMonitor monitor(fr.get(), kMonitorTickOptions);
+  const std::string path = "/tmp/pdr_bench_monitor_tick_" +
+                           std::to_string(static_cast<long long>(::getpid())) +
+                           ".wlog";
+  auto recorder =
+      std::make_unique<WorkloadRecorder>(path, WorkloadLogHeader{});
+  RunPairedOverheadProbe(
+      state, /*per_side=*/8,
+      [&](bool on) { monitor.SetRecorder(on ? recorder.get() : nullptr); },
+      [&monitor] { benchmark::DoNotOptimize(monitor.OnTick(0)); });
+  monitor.SetRecorder(nullptr);
+  recorder.reset();
+  std::remove(path.c_str());
 }
-BENCHMARK(BM_MonitorTickRecorded);
+BENCHMARK(BM_MonitorTickRecorderPaired)
+    ->Iterations(300)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pdr

@@ -101,8 +101,8 @@ fi
 # Replay lane: fresh-capture determinism at 1/2/4/8 threads (serialized,
 # MVCC, and FFT-rung captures), the canned fixtures — including the
 # FFT-rung pair, whose goldens pin every tick at tier=fft — against their
-# golden digests, the recording-overhead gate (BM_MonitorTick off/on
-# within 3%), and the replay-bench p99 regression gate against
+# golden digests, the recording-overhead gate (paired unrecorded/recorded
+# monitor ticks, median ratio within 3%), and the replay-bench p99 regression gate against
 # BENCH_baseline.json (scripts/check_replay.sh).
 "${repo}/scripts/check_replay.sh" --build "${repo}/build-check"
 

@@ -30,11 +30,12 @@
 #      re-captures an FFT-rung run fresh each time and verifies it at
 #      1/4 threads (the spectral path is single-threaded by design; the
 #      exact-FR machinery around it is not).
-#   3. Recording overhead — bench_micro's BM_MonitorTick vs
-#      BM_MonitorTickRecorded probe pair: many short interleaved
-#      repetitions after a warm-up window, min CPU time per side, best
-#      of up to PDR_RECORD_GATE_TRIES independent probe runs: always-on capture
-#      must cost at most PDR_RECORD_GATE_PCT percent (default 3).
+#   3. Recording overhead — bench_micro's BM_MonitorTickRecorderPaired
+#      probe: 300 rounds on one monitor, each of 8 unrecorded and 8
+#      recorded ticks (the side that goes first alternates), timed by the
+#      thread's CPU clock; the median per-round recorded/unrecorded ratio
+#      must stay within PDR_RECORD_GATE_PCT percent (default 3). This is
+#      the method of scripts/check_overhead.sh.
 #   4. Replay perf regression — min-of-N `replay --bench` CPU p99 over
 #      the canned workload vs the committed BENCH_baseline.json
 #      replay_bench series; fail above PDR_REPLAY_GATE_PCT percent
@@ -172,64 +173,30 @@ echo "==== replay lane 3: recording overhead on the monitor-tick probe ===="
 bench="${build}/bench/bench_micro"
 gate_pct="${PDR_RECORD_GATE_PCT:-3}"
 if [[ -x "${bench}" ]]; then
-  # Many SHORT repetitions, not few long ones: a shared machine's CPU
-  # speed steps by ±10% on a seconds timescale, so with few long reps
-  # the two minima routinely land in different speed regimes and read
-  # phantom overhead far above the recorder's real ~0.7% cost. 25×0.2 s
-  # interleaved reps sample every regime on both sides; on top of that
-  # the whole probe runs up to PDR_RECORD_GATE_TRIES times and the gate
-  # takes the BEST run: throttling inflates individual readings
-  # asymmetrically, but a genuine recording regression shifts every
-  # independent run up, so the minimum over runs is the faithful
-  # estimate. (See the probe comment in bench_micro.cc for the matching
-  # probe-size rationale.)
-  tries="${PDR_RECORD_GATE_TRIES:-3}"
-  record_gate_ok=0
-  for try in $(seq "${tries}"); do
-    env -u PDR_FLIGHT_RECORDER "${bench}" \
-        --benchmark_filter='^BM_MonitorTick(Recorded)?$' \
-        --benchmark_repetitions="${PDR_RECORD_GATE_REPS:-25}" \
-        --benchmark_min_time="${PDR_RECORD_GATE_MIN_TIME:-0.2}" \
-        --benchmark_min_warmup_time=0.5 \
-        --benchmark_enable_random_interleaving=true \
-        --benchmark_report_aggregates_only=false \
-        --benchmark_format=json >"${tmpdir}/record_probe.json"
-    if python3 - "${tmpdir}/record_probe.json" "${gate_pct}" "${try}" <<'PY'
+  # A round's two sides see the same host, so the ratio cancels the
+  # drift that made the minima of separately timed sides read phantom
+  # overhead in both directions (see BM_MonitorTickRecorderPaired).
+  env -u PDR_FLIGHT_RECORDER "${bench}" \
+      --benchmark_filter='^BM_MonitorTickRecorderPaired/' \
+      --benchmark_format=json >"${tmpdir}/record_probe.json"
+  python3 - "${tmpdir}/record_probe.json" "${gate_pct}" <<'PY' \
+      || fail "recording overhead exceeded ${gate_pct}%"
 import json
 import sys
 
-path, gate_pct, attempt = sys.argv[1], float(sys.argv[2]), sys.argv[3]
+path, gate_pct = sys.argv[1], float(sys.argv[2])
 with open(path) as f:
     doc = json.load(f)
 
-times = {"BM_MonitorTick": [], "BM_MonitorTickRecorded": []}
-for b in doc["benchmarks"]:
-    if b.get("run_type", "iteration") != "iteration":
-        continue
-    name = b["name"].split("/")[0]
-    if name in times:
-        times[name].append(b["cpu_time"])
-
-for name, t in times.items():
-    if not t:
-        sys.exit(f"no iterations for {name} in {path}")
-
-off = min(times["BM_MonitorTick"])
-on = min(times["BM_MonitorTickRecorded"])
-pct = 100.0 * (on - off) / off
-print(f"  try {attempt}: recorder off: {off / 1e6:.3f} ms  "
-      f"on: {on / 1e6:.3f} ms  overhead: {pct:+.2f}% "
-      f"(gate: {gate_pct:.1f}%)")
+runs = [b for b in doc["benchmarks"]
+        if b["name"].startswith("BM_MonitorTickRecorderPaired")]
+if len(runs) != 1 or "overhead_pct" not in runs[0]:
+    sys.exit(f"no BM_MonitorTickRecorderPaired result in {path}")
+pct = runs[0]["overhead_pct"]
+print(f"  recording overhead: {pct:+.2f}% (median of "
+      f"{int(runs[0]['rounds'])} paired rounds; gate: {gate_pct:.1f}%)")
 sys.exit(0 if pct <= gate_pct else 1)
 PY
-    then
-      record_gate_ok=1
-      break
-    fi
-  done
-  if [[ "${record_gate_ok}" != 1 ]]; then
-    fail "recording overhead exceeded ${gate_pct}% on all ${tries} probe runs"
-  fi
 else
   echo "  skipped (bench_micro not built)"
 fi

@@ -60,6 +60,16 @@ class CorruptionError : public std::runtime_error {
   uint64_t actual_;
 };
 
+/// Stored or logged bytes that do not decode: a truncated field, a wrong
+/// magic or kind tag, or a count the remaining bytes cannot hold. Unlike
+/// CorruptionError no checksum disagrees (the bytes may be intact but not
+/// what the reader expects); like it, the caller must refuse the input
+/// rather than build state from it.
+class DecodeError : public std::runtime_error {
+ public:
+  explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
+};
+
 /// A query timestamp outside the engine's horizon [now, now + H].
 ///
 /// Both engines keep per-tick state (histogram slices, Chebyshev slices)

@@ -5,18 +5,19 @@
 // The format is raw little-endian PODs appended to a std::string — the
 // same convention dataset_io uses over iostreams — plus length-prefixed
 // nested blobs. Readers validate remaining length on every extraction and
-// throw std::runtime_error on truncation, so corrupt metadata surfaces as
-// a recovery error instead of undefined behavior.
+// throw DecodeError (common/errors.h) on truncation, so corrupt metadata
+// surfaces as a typed recovery error instead of undefined behavior.
 
 #ifndef PDR_STORAGE_SERDE_H_
 #define PDR_STORAGE_SERDE_H_
 
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
+
+#include "pdr/common/errors.h"
 
 namespace pdr {
 
@@ -40,7 +41,7 @@ class ByteReader {
   T Get() {
     static_assert(std::is_trivially_copyable_v<T>);
     if (data_.size() - pos_ < sizeof(T)) {
-      throw std::runtime_error("serialized blob truncated");
+      throw DecodeError("serialized blob truncated");
     }
     T value;
     std::memcpy(&value, data_.data() + pos_, sizeof(T));
@@ -51,7 +52,7 @@ class ByteReader {
   std::string_view GetBlob() {
     const uint64_t n = Get<uint64_t>();
     if (data_.size() - pos_ < n) {
-      throw std::runtime_error("serialized blob truncated");
+      throw DecodeError("serialized blob truncated");
     }
     const std::string_view out = data_.substr(pos_, n);
     pos_ += n;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "pdr/common/errors.h"
 #include "pdr/obs/obs.h"
 #include "pdr/storage/disk_pager.h"
 #include "pdr/storage/serde.h"
@@ -209,9 +210,9 @@ std::unique_ptr<Pager> MakeTreePager(const TprTree::Options& options) {
 
 TprTree::TprTree(const Options& options)
     : pager_(MakeTreePager(options)),
-      pool_(options.external_pager != nullptr ? options.external_pager
-                                              : pager_.get(),
-            options.buffer_pages),
+      store_(options.external_pager != nullptr ? options.external_pager
+                                               : pager_.get()),
+      pool_(store_, options.buffer_pages),
       options_(options) {
   disk_ = dynamic_cast<DiskPager*>(pager_.get());
   if (disk_ != nullptr && disk_->recovered()) {
@@ -247,14 +248,24 @@ std::string TprTree::SerializeMeta(const std::string& app_meta) const {
 void TprTree::RestoreMeta(const std::string& blob) {
   ByteReader reader(blob);
   if (reader.Get<uint32_t>() != kTprMetaMagic) {
-    throw std::runtime_error(
+    throw DecodeError(
         "recovered store does not hold a TPR-tree (index kind mismatch?)");
   }
   now_ = reader.Get<Tick>();
   root_ = reader.Get<PageId>();
   height_ = reader.Get<int32_t>();
+  if (height_ < 1) {
+    throw DecodeError("TPR-tree meta: height " + std::to_string(height_) +
+                      " < 1");
+  }
   node_count_ = reader.Get<uint64_t>();
   const uint64_t objects = reader.Get<uint64_t>();
+  // Bound the count by the bytes left before reserving for it.
+  if (objects > reader.remaining() / (sizeof(ObjectId) + sizeof(PageId))) {
+    throw DecodeError("TPR-tree meta: " + std::to_string(objects) +
+                      " objects do not fit in " +
+                      std::to_string(reader.remaining()) + " bytes");
+  }
   leaf_of_.clear();
   leaf_of_.reserve(objects);
   for (uint64_t i = 0; i < objects; ++i) {
@@ -289,27 +300,32 @@ Tpbr TprTree::NodeTpbr(PageId node_id) {
   auto ref = pool_.Fetch(node_id);
   const NodeHeader* header = ref->As<NodeHeader>();
   assert(header->count > 0);
-  Tpbr box;
-  if (header->is_leaf) {
-    const auto* node = ref->As<LeafLayout>();
-    box = node->entries[0].Box();
-    for (uint16_t i = 1; i < header->count; ++i) {
-      box = Tpbr::Union(box, node->entries[i].Box());
+  // Every entry's rectangle is evaluated at the current clock (or at a
+  // later entry's reference tick) before the union, so the result is the
+  // tightest TPBR over [now, inf) whatever the entries' own reference
+  // ticks (a reinserted entry keeps its old one). Chaining Tpbr::Union
+  // over boxes referenced at older ticks would carry the widest velocity
+  // forward from the farthest edge and overshoot.
+  auto union_at_now = [&](const auto* entries) {
+    Tick t = now_;
+    for (uint16_t i = 0; i < header->count; ++i) {
+      t = std::max(t, entries[i].t_ref);
     }
-  } else {
-    const auto* node = ref->As<InternalLayout>();
-    box = node->entries[0].Box();
+    Tpbr box = entries[0].Box();
+    box.rect = box.RectAt(t);
+    box.t_ref = t;
     for (uint16_t i = 1; i < header->count; ++i) {
-      box = Tpbr::Union(box, node->entries[i].Box());
+      const Tpbr e = entries[i].Box();
+      box.rect = box.rect.Union(e.RectAt(t));
+      box.vx_lo = std::min(box.vx_lo, e.vx_lo);
+      box.vy_lo = std::min(box.vy_lo, e.vy_lo);
+      box.vx_hi = std::max(box.vx_hi, e.vx_hi);
+      box.vy_hi = std::max(box.vy_hi, e.vy_hi);
     }
-  }
-  // Re-reference to the current clock so repeated tightening cannot leave
-  // stale reference ticks behind.
-  if (box.t_ref < now_) {
-    box.rect = box.RectAt(now_);
-    box.t_ref = now_;
-  }
-  return box;
+    return box;
+  };
+  return header->is_leaf ? union_at_now(ref->As<LeafLayout>()->entries)
+                         : union_at_now(ref->As<InternalLayout>()->entries);
 }
 
 void TprTree::Insert(ObjectId id, const MotionState& state) {
@@ -434,13 +450,15 @@ void TprTree::SplitLeaf(PageId leaf_id, ObjectId id, const MotionState& state,
     ++node_count_;
     return;
   }
-  RefreshParentEntry(leaf_id);
   const PageId parent = path.back();
   {
     auto sib = pool_.FetchMut(sibling_id);
     sib->As<NodeHeader>()->parent = parent;
   }
+  // Install the sibling before tightening the ancestors, so each
+  // ancestor's entry is recomputed over a node that already holds it.
   InstallEntry(InternalEntry::From(sibling_box, sibling_id), path);
+  RefreshParentEntry(leaf_id);
 }
 
 void TprTree::InstallEntry(const InternalEntry& entry,
@@ -526,7 +544,6 @@ void TprTree::SplitInternal(PageId node_id, const InternalEntry& extra,
     ++node_count_;
     return;
   }
-  RefreshParentEntry(node_id);
   PageId parent;
   {
     auto ref = pool_.Fetch(node_id);
@@ -538,6 +555,7 @@ void TprTree::SplitInternal(PageId node_id, const InternalEntry& extra,
   }
   if (path.empty() || path.back() != parent) path.push_back(parent);
   InstallEntry(InternalEntry::From(sibling_box, sibling_id), std::move(path));
+  RefreshParentEntry(node_id);  // after the install, as in SplitLeaf
 }
 
 void TprTree::RefreshParentEntry(PageId child_id) {
@@ -565,11 +583,21 @@ void TprTree::RefreshParentEntry(PageId child_id) {
   }
 }
 
+void TprTree::FreeNode(PageId node_id) {
+  pool_.Discard(node_id);
+  store_->Free(node_id);
+  --node_count_;
+}
+
 bool TprTree::Delete(ObjectId id) {
   auto it = leaf_of_.find(id);
   if (it == leaf_of_.end()) return false;
   PageId node_id = it->second;
   leaf_of_.erase(it);
+  // Entries of a non-root leaf left below minimum fill: the leaf is
+  // emptied here, removed below, and they are reinserted at the end (the
+  // R-tree's CondenseTree, applied at the leaf level).
+  std::vector<LeafEntry> orphans;
   {
     auto ref = pool_.FetchMut(node_id);
     auto* node = ref->As<LeafLayout>();
@@ -584,6 +612,11 @@ bool TprTree::Delete(ObjectId id) {
     }
     assert(found && "leaf map points to a leaf without the object");
     (void)found;
+    if (node_id != root_ && node->header.count < kLeafMinFill) {
+      orphans.assign(node->entries, node->entries + node->header.count);
+      node->header.count = 0;
+      for (const LeafEntry& e : orphans) leaf_of_.erase(e.id);
+    }
   }
   // Remove empty nodes bottom-up; tighten surviving ancestors.
   while (node_id != root_) {
@@ -610,9 +643,7 @@ bool TprTree::Delete(ObjectId id) {
         }
       }
     }
-    pool_.Discard(node_id);
-    pager_->Free(node_id);
-    --node_count_;
+    FreeNode(node_id);
     node_id = parent;
   }
   // Collapse a chain of single-child internal roots.
@@ -623,9 +654,7 @@ bool TprTree::Delete(ObjectId id) {
     if (header->count == 0) {
       // Tree became empty.
       ref.Reset();
-      pool_.Discard(root_);
-      pager_->Free(root_);
-      --node_count_;
+      FreeNode(root_);
       root_ = kInvalidPageId;
       height_ = 1;
       break;
@@ -633,14 +662,13 @@ bool TprTree::Delete(ObjectId id) {
     if (header->count > 1) break;
     const PageId only_child = ref->As<InternalLayout>()->entries[0].child;
     ref.Reset();
-    pool_.Discard(root_);
-    pager_->Free(root_);
-    --node_count_;
+    FreeNode(root_);
     root_ = only_child;
     --height_;
     auto child_ref = pool_.FetchMut(root_);
     child_ref->As<NodeHeader>()->parent = kInvalidPageId;
   }
+  for (const LeafEntry& e : orphans) Insert(e.id, e.ToState());
   return true;
 }
 
@@ -731,6 +759,9 @@ void TprTree::CheckInvariants() {
     if (header->is_leaf) {
       if (item.depth != height_) {
         throw std::logic_error("leaf at wrong depth");
+      }
+      if (item.id != root_ && header->count < kLeafMinFill) {
+        throw std::logic_error("non-root leaf below minimum fill");
       }
       const auto* node = ref->As<LeafLayout>();
       for (uint16_t i = 0; i < header->count; ++i) {

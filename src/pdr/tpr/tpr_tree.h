@@ -19,9 +19,13 @@
 // candidate windows (src/pdr/core/fr_engine.cc).
 //
 // Deletions locate leaves through a direct object->leaf map (the standard
-// "bottom-up update" shortcut); nodes may transiently underflow and are
-// removed only when empty, which keeps the structure simple while updates
-// (delete + reinsert) keep occupancy healthy.
+// "bottom-up update" shortcut) and condense the tree as the R-tree's
+// CondenseTree does, at the leaf level: a non-root leaf left with fewer
+// than the split's minimum fill (40% of capacity) is removed and its
+// entries are reinserted through the ordinary insertion heuristics. Leaves
+// therefore stay at least 40% full under any update stream, which bounds
+// the pages a traversal reads (Fig. 10 cost is set by the leaf count).
+// Internal nodes are removed only when empty.
 
 #ifndef PDR_TPR_TPR_TREE_H_
 #define PDR_TPR_TPR_TREE_H_
@@ -184,8 +188,9 @@ class TprTree {
   DiskPager* disk() const { return disk_; }
 
   /// Structural self-check (containment of children in parent TPBRs over
-  /// sampled ticks, entry counts, parent pointers, leaf map). Aborts via
-  /// assert/exception on violation; heavy, intended for tests.
+  /// sampled ticks, entry counts, non-root leaf minimum fill, parent
+  /// pointers, leaf map). Aborts via assert/exception on violation; heavy,
+  /// intended for tests.
   void CheckInvariants();
 
   // On-page layout structs; defined in the .cc, incomplete for callers.
@@ -202,12 +207,15 @@ class TprTree {
                      std::vector<PageId> path);
   void InstallEntry(const InternalEntry& entry, std::vector<PageId> path);
   void RefreshParentEntry(PageId child_id);
+  /// Drops an unlinked node from the pool and frees its page in the store.
+  void FreeNode(PageId node_id);
   Tpbr NodeTpbr(PageId node_id);
   std::string SerializeMeta(const std::string& app_meta) const;
   void RestoreMeta(const std::string& blob);
 
-  std::unique_ptr<Pager> pager_;
-  DiskPager* disk_ = nullptr;  // pager_ downcast when durable, else null
+  std::unique_ptr<Pager> pager_;  // null over an external pager
+  Pager* store_;                  // the pager behind pool_: owned or external
+  DiskPager* disk_ = nullptr;     // pager_ downcast when durable, else null
   mutable BufferPool pool_;
   Options options_;
   Tick now_ = 0;

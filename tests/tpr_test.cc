@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "pdr/common/errors.h"
 #include "pdr/common/random.h"
 #include "pdr/mobility/generator.h"
+#include "pdr/storage/disk_pager.h"
 
 namespace pdr {
 namespace {
@@ -270,6 +276,178 @@ TEST(TprTreeTest, QueriesFarBeyondHorizonStayCorrect) {
     ExpectSameIds(tree.RangeQuery(window, t),
                   BruteRange(reference, window, t));
   }
+}
+
+TEST(TprTreeTest, SplitsKeepEveryAncestorCoveringAtHeightThree) {
+  // A split installs the new sibling in the parent before tightening the
+  // ancestors; tightening first left a grandparent entry that no longer
+  // covered the sibling, and point queries missed its objects.
+  TprTree tree(SmallOptions());
+  std::vector<MotionState> states;
+  Rng rng(81);
+  for (ObjectId id = 0; id < 6000; ++id) {
+    states.push_back({{rng.Uniform(0, 1000), rng.Uniform(0, 1000)},
+                      {rng.Uniform(-1, 1), rng.Uniform(-1, 1)},
+                      0});
+    tree.Insert(id, states.back());
+    if (tree.height() >= 3 && id % 10 == 0) tree.CheckInvariants();
+  }
+  ASSERT_EQ(tree.height(), 3);
+  for (ObjectId id = 0; id < states.size(); ++id) {
+    const Vec2 p = states[id].PositionAt(0);
+    const auto found = tree.RangeQuery(Rect(p.x, p.y, p.x, p.y), 0);
+    EXPECT_TRUE(std::any_of(found.begin(), found.end(),
+                            [id](const auto& hit) { return hit.first == id; }))
+        << "object " << id;
+  }
+}
+
+TEST(TprTreeTest, DeleteAllOverExternalPagerFreesEveryPage) {
+  // Emptied nodes are freed in the pager the buffer pool reads, also when
+  // that pager is caller-owned (the MVCC copy-on-write seam).
+  MemPager pager;
+  TprTree::Options options = SmallOptions();
+  options.external_pager = &pager;
+  TprTree tree(options);
+  const auto inserts = MakeUniformInserts(300, 500.0, 1.0, 24);
+  for (const UpdateEvent& e : inserts) tree.Insert(e.id, *e.new_state);
+  EXPECT_GT(tree.node_count(), 1u);
+  for (const UpdateEvent& e : inserts) EXPECT_TRUE(tree.Delete(e.id));
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_EQ(tree.node_count(), 1u);  // the empty root leaf
+  EXPECT_EQ(pager.live_pages(), tree.node_count());
+  tree.CheckInvariants();
+}
+
+TEST(TprTreeTest, ChurnKeepsLeavesFilledAndAnswersExact) {
+  // Moving objects re-report over many ticks (delete + reinsert), some
+  // leave for good and new ones arrive. Every delete must leave each
+  // non-root leaf at least 40% full (CheckInvariants) while range queries
+  // stay exact.
+  TprTree tree(SmallOptions());
+  std::map<ObjectId, MotionState> reference;
+  Rng rng(71);
+  auto fresh_state = [&rng](Tick now) {
+    return MotionState{{rng.Uniform(0, 1000), rng.Uniform(0, 1000)},
+                       {rng.Uniform(-2, 2), rng.Uniform(-2, 2)},
+                       now};
+  };
+  ObjectId next_id = 0;
+  for (; next_id < 2000; ++next_id) {
+    reference[next_id] = fresh_state(0);
+    tree.Insert(next_id, reference[next_id]);
+  }
+  const size_t initial_nodes = tree.node_count();
+  for (Tick now = 1; now <= 12; ++now) {
+    tree.AdvanceTo(now);
+    std::vector<ObjectId> ids;
+    for (const auto& [id, state] : reference) ids.push_back(id);
+    for (int i = 0; i < 400; ++i) {
+      const ObjectId id = ids[rng.UniformInt(0, ids.size() - 1)];
+      auto it = reference.find(id);
+      if (it == reference.end()) continue;
+      if (rng.Uniform(0, 1) < 0.2) {
+        // Leaves; a newcomer takes its place.
+        ASSERT_TRUE(tree.Delete(id));
+        reference.erase(it);
+        tree.CheckInvariants();
+        reference[next_id] = fresh_state(now);
+        tree.Insert(next_id, reference[next_id]);
+        ++next_id;
+      } else {
+        const MotionState moved = fresh_state(now);
+        tree.Apply(UpdateEvent{now, id, it->second, moved});
+        it->second = moved;
+        tree.CheckInvariants();
+      }
+    }
+    EXPECT_EQ(tree.size(), reference.size());
+    for (Tick dt : {0, 7, 25}) {
+      for (int q = 0; q < 4; ++q) {
+        const double x = rng.Uniform(-50, 900);
+        const double y = rng.Uniform(-50, 900);
+        const Rect window(x, y, x + rng.Uniform(30, 250),
+                          y + rng.Uniform(30, 250));
+        ExpectSameIds(tree.RangeQuery(window, now + dt),
+                      BruteRange(reference, window, now + dt));
+      }
+    }
+  }
+  // Condensing keeps the page count near the bulk-loaded tree's.
+  EXPECT_LE(tree.node_count(), initial_nodes * 3 / 2);
+}
+
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "/tmp/pdr_tpr_test_XXXXXX";
+    const char* dir = mkdtemp(tmpl);
+    EXPECT_NE(dir, nullptr);
+    dir_ = dir != nullptr ? dir : "/tmp";
+  }
+  ~TempDir() { std::system(("rm -rf '" + dir_ + "'").c_str()); }
+  const std::string& path() const { return dir_; }
+
+ private:
+  std::string dir_;
+};
+
+// The tree metadata a durable TprTree checkpoints: magic, clock, root,
+// height, node count, object count, then (object, leaf) pairs and the
+// caller's blob.
+std::string CheckpointedTreeMeta() {
+  TempDir dir;
+  TprTree::Options options = SmallOptions();
+  options.storage_dir = dir.path();
+  {
+    TprTree tree(options);
+    for (const UpdateEvent& e : MakeUniformInserts(300, 500.0, 1.0, 27)) {
+      tree.Insert(e.id, *e.new_state);
+    }
+    tree.Checkpoint("app");
+  }
+  DiskPager store(dir.path());
+  EXPECT_TRUE(store.recovered());
+  return store.recovered_meta();
+}
+
+// Opens a TprTree over a store whose last checkpoint carries `meta`.
+void OpenTreeOverMeta(const std::string& meta) {
+  TempDir dir;
+  {
+    DiskPager store(dir.path());
+    store.Checkpoint(meta);
+  }
+  TprTree::Options options = SmallOptions();
+  options.storage_dir = dir.path();
+  TprTree tree(options);
+}
+
+TEST(TprTreeTest, RestoreMetaRejectsMalformedBlobsWithDecodeError) {
+  const std::string meta = CheckpointedTreeMeta();
+  ASSERT_GT(meta.size(), 32u);
+  EXPECT_NO_THROW(OpenTreeOverMeta(meta));  // the unmodified blob decodes
+
+  constexpr size_t kHeightOffset = 12;  // after magic, clock and root
+  constexpr size_t kCountOffset = 24;   // after height and node count
+  std::string oversized = meta;
+  const uint64_t huge = uint64_t{1} << 60;
+  std::memcpy(oversized.data() + kCountOffset, &huge, sizeof(huge));
+  EXPECT_THROW(OpenTreeOverMeta(oversized), DecodeError);
+
+  std::string flat = meta;
+  const int32_t zero = 0;
+  std::memcpy(flat.data() + kHeightOffset, &zero, sizeof(zero));
+  EXPECT_THROW(OpenTreeOverMeta(flat), DecodeError);
+
+  for (const size_t keep : {size_t{2}, kCountOffset + 4, meta.size() - 1}) {
+    EXPECT_THROW(OpenTreeOverMeta(meta.substr(0, keep)), DecodeError)
+        << "truncated to " << keep << " bytes";
+  }
+
+  std::string foreign = meta;
+  foreign[0] ^= 0x01;
+  EXPECT_THROW(OpenTreeOverMeta(foreign), DecodeError);
 }
 
 TEST(TprTreeTest, ApplyInsertDeleteEventForms) {
