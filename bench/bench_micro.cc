@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -194,6 +195,56 @@ void BM_RegionCoalesce(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RegionCoalesce)->Arg(100)->Arg(1000);
+
+// FR's final coalesce on real refinement output: the SweepCell rectangles
+// of an 8x8 grid of 10x10 cells over clustered positions (l = 3, threshold
+// 6), as one strip rectangle per X-strip and dense run (Arg 0) or joined
+// per cell across strips first, as FrQueryCore does (Arg 1). Both inputs
+// coalesce to the same region; the gap is the input-size effect.
+void BM_RegionCoalesceSweepStrips(benchmark::State& state) {
+  const bool joined = state.range(0) != 0;
+  constexpr int kSide = 8;
+  constexpr double kCell = 10.0;
+  constexpr double kL = 3.0;
+  Rng rng(10);
+  std::vector<Vec2> centers;
+  for (int i = 0; i < 24; ++i) {
+    centers.push_back({rng.Uniform(0, kSide * kCell),
+                       rng.Uniform(0, kSide * kCell)});
+  }
+  std::vector<Vec2> positions;
+  for (int i = 0; i < 6000; ++i) {
+    const Vec2 c = centers[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(centers.size()) - 1))];
+    positions.push_back({c.x + rng.Normal(0, 4), c.y + rng.Normal(0, 4)});
+  }
+  Region region;
+  for (int row = 0; row < kSide; ++row) {
+    for (int col = 0; col < kSide; ++col) {
+      const Rect cell(col * kCell, row * kCell, (col + 1) * kCell,
+                      (row + 1) * kCell);
+      const Rect window = cell.Expanded(kL / 2);
+      std::vector<Vec2> near;
+      for (const Vec2& p : positions) {
+        if (window.ContainsClosed(p)) near.push_back(p);
+      }
+      std::vector<Rect> rects = SweepCell(cell, near, kL, 6);
+      if (joined) rects = JoinSweepStrips(std::move(rects));
+      for (const Rect& r : rects) region.Add(r);
+    }
+  }
+  size_t rects_out = 0;
+  for (auto _ : state) {
+    const Region out = region.Coalesced();
+    rects_out = out.size();
+    benchmark::DoNotOptimize(out);
+  }
+  state.counters["rects_in"] = static_cast<double>(region.size());
+  state.counters["rects_out"] = static_cast<double>(rects_out);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(region.size()));
+}
+BENCHMARK(BM_RegionCoalesceSweepStrips)->Arg(0)->Arg(1);
 
 void BM_IntersectionArea(benchmark::State& state) {
   Rng rng(9);

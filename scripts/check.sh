@@ -45,10 +45,11 @@ run_config() {
 EXTRA_CTEST_ARGS=("$@")
 
 # Everything that touches the thread pool, the parallel query paths, the
-# buffer pool's read phase, or cross-thread tracing. TSan runs ~10x slower,
-# so the single-threaded math/geometry suites are skipped there (ASan
-# covers them above). The FFT lanes (FftTest, FftMetamorphicTest) are
-# single-threaded spectral math and stay out for the same reason;
+# buffer pool's latch (taken by any thread that shares the pool), or
+# cross-thread tracing. TSan runs ~10x slower, so the single-threaded
+# math/geometry suites are skipped there (ASan covers them above). The FFT
+# lanes (FftTest, FftMetamorphicTest) are single-threaded spectral math
+# and stay out for the same reason;
 # DifferentialTest — which drives the FFT rung against exact FR at
 # 1/2/4/8 threads — is in, so the rung's parallel surface is covered.
 tsan_filter='^(ThreadPoolTest|DifferentialTest|DeterminismTest|BufferPoolTest|PagerTest|IoStatsTest|FrEngineTest|PaEngineTest|PdrMonitorTest|ObsTest|FlightRecorderTest|SloMonitorTest|ResilienceTest|ResilienceSoakTest|MvccInterleaveTest|MvccSoakTest)'

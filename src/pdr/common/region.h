@@ -48,8 +48,9 @@ class Region {
   Rect BoundingBox() const;
 
   /// Canonical form: a region covering the same point set, made of disjoint
-  /// rectangles, with horizontally adjacent slabs merged. Deterministic for
-  /// a given point set regardless of input rectangle order.
+  /// rectangles, with horizontally adjacent slabs merged, emitted in
+  /// (x_hi, x_lo, y_lo) order. The output vector depends only on the point
+  /// set: any tiling of it (order, splits, duplicates) gives the same one.
   Region Coalesced() const;
 
   /// The part of this region inside `window` (rectangles clipped).

@@ -214,11 +214,10 @@ FrEngine::FrEngine(const Options& options)
     ByteReader reader(index_.recovered_app_meta());
     if (reader.Get<uint32_t>() != kEngineMetaMagic ||
         reader.Get<uint32_t>() != kEngineMetaVersion) {
-      throw std::runtime_error(
-          "recovered store does not hold FR engine state");
+      throw DecodeError("recovered store does not hold FR engine state");
     }
     if (reader.Get<uint8_t>() != kEngineMetaTprKind) {
-      throw std::runtime_error(
+      throw DecodeError(
           "recovered store was checkpointed with a different index kind");
     }
     histogram_.Restore(&reader);
@@ -443,7 +442,11 @@ FrEngine::QueryResult FrQueryCore(
         if (grid.InDomain(p)) positions.push_back(p);
       }
     }
-    out.rects = SweepCell(cell, positions, l, n_min, &out.sweep, control);
+    // Joining the cell's strips here, on the worker that swept it, shrinks
+    // the final coalesce's input; the coalesced answer depends only on the
+    // covered point set, so the join cannot change it.
+    out.rects = JoinSweepStrips(
+        SweepCell(cell, positions, l, n_min, &out.sweep, control));
     if (cell_span.active()) {
       cell_span.SetAttr("col", c.col);
       cell_span.SetAttr("row", c.row);
@@ -452,6 +455,7 @@ FrEngine::QueryResult FrQueryCore(
       cell_span.SetAttr("x_strips", out.sweep.x_strips);
       cell_span.SetAttr("y_sweeps", out.sweep.y_sweeps);
       cell_span.SetAttr("dense_rects", out.sweep.dense_rects);
+      cell_span.SetAttr("rects", static_cast<int64_t>(out.rects.size()));
     }
   };
 

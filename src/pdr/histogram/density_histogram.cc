@@ -3,6 +3,8 @@
 #include <cassert>
 #include <numeric>
 
+#include "pdr/common/errors.h"
+
 namespace pdr {
 
 DensityHistogram::DensityHistogram(const Options& options)
@@ -95,11 +97,11 @@ void DensityHistogram::Serialize(std::string* out) const {
 
 void DensityHistogram::Restore(ByteReader* reader) {
   if (reader->Get<uint32_t>() != kDhMetaMagic) {
-    throw std::runtime_error("density histogram state: bad magic");
+    throw DecodeError("density histogram state: bad magic");
   }
   if (reader->Get<int32_t>() != grid_.cells_per_side() ||
       reader->Get<Tick>() != horizon_) {
-    throw std::runtime_error(
+    throw DecodeError(
         "density histogram state was checkpointed under different options");
   }
   now_ = reader->Get<Tick>();

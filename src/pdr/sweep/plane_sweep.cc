@@ -6,19 +6,30 @@ namespace pdr {
 namespace {
 
 /// Builds the sorted, deduplicated event coordinates for one axis: the two
-/// boundaries plus every object-induced stopping coordinate strictly
-/// inside (lo, hi).
-std::vector<double> BuildEvents(double lo, double hi,
-                                const std::vector<double>& candidates) {
+/// boundaries plus every object-induced stopping coordinate v - half and
+/// v + half strictly inside (lo, hi). `sorted` holds the objects'
+/// coordinates in increasing order; rounding is monotone, so both shifted
+/// sequences stay sorted and one linear merge orders them.
+std::vector<double> MergeEvents(double lo, double hi,
+                                const std::vector<double>& sorted,
+                                double half) {
   std::vector<double> events;
-  events.reserve(candidates.size() + 2);
+  events.reserve(sorted.size() * 2 + 2);
   events.push_back(lo);
-  for (double c : candidates) {
-    if (c > lo && c < hi) events.push_back(c);
+  const auto add = [&](double c) {
+    if (c > lo && c < hi && c != events.back()) events.push_back(c);
+  };
+  const size_t n = sorted.size();
+  size_t i = 0;  // next entry sorted[i] - half
+  size_t j = 0;  // next exit sorted[j] + half
+  while (i < n || j < n) {
+    if (j == n || (i < n && sorted[i] - half <= sorted[j] + half)) {
+      add(sorted[i++] - half);
+    } else {
+      add(sorted[j++] + half);
+    }
   }
-  events.push_back(hi);
-  std::sort(events.begin(), events.end());
-  events.erase(std::unique(events.begin(), events.end()), events.end());
+  if (hi > events.back()) events.push_back(hi);
   return events;
 }
 
@@ -119,47 +130,40 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
   // the stopping events — so it flips exactly at the events. (Re-deriving
   // the window as [y - l/2, y + l/2] from the strip coordinate rounds
   // differently and can keep an object one strip past its own exit.)
-  std::vector<double> y_candidates;
-  y_candidates.reserve(positions.size() * 2);
-  for (const Vec2& p : positions) {
-    y_candidates.push_back(p.y - l / 2);
-    y_candidates.push_back(p.y + l / 2);
-  }
+  const double half = l / 2;
+  std::vector<double> sorted_y;
+  sorted_y.reserve(positions.size());
+  for (const Vec2& p : positions) sorted_y.push_back(p.y);
+  std::sort(sorted_y.begin(), sorted_y.end());
   const std::vector<double> ys =
-      BuildEvents(cell.y_lo, cell.y_hi, y_candidates);
+      MergeEvents(cell.y_lo, cell.y_hi, sorted_y, half);
   const int leaves = static_cast<int>(ys.size()) - 1;
   const auto strip_of = [&](double y) {
     const auto it = std::lower_bound(ys.begin(), ys.end(), y);
     return std::min(static_cast<int>(it - ys.begin()), leaves);
   };
 
-  // Entry/exit event lists for incremental band membership: an object at
-  // ox is inside the band centered at x iff ox - l/2 <= x < ox + l/2.
-  struct BandEvent {
-    double x;
+  // Band membership: an object at ox is inside the band centered at x iff
+  // ox - l/2 <= x < ox + l/2. With the objects sorted by ox, both their
+  // entry and their exit coordinates are in increasing order, so one list
+  // serves as the entry queue and the exit queue.
+  std::vector<Vec2> by_x(positions);
+  std::sort(by_x.begin(), by_x.end(),
+            [](const Vec2& a, const Vec2& b) { return a.x < b.x; });
+  struct BandMember {
     int y_lo;  // covered Y strips [y_lo, y_hi)
     int y_hi;
-    bool operator<(const BandEvent& o) const { return x < o.x; }
   };
-  std::vector<BandEvent> by_entry;
-  std::vector<BandEvent> by_exit;
-  by_entry.reserve(positions.size());
-  by_exit.reserve(positions.size());
-  std::vector<double> x_candidates;
-  x_candidates.reserve(positions.size() * 2);
-  for (const Vec2& p : positions) {
-    const int y_lo = strip_of(p.y - l / 2);
-    const int y_hi = strip_of(p.y + l / 2);
-    by_entry.push_back({p.x - l / 2, y_lo, y_hi});
-    by_exit.push_back({p.x + l / 2, y_lo, y_hi});
-    x_candidates.push_back(p.x - l / 2);
-    x_candidates.push_back(p.x + l / 2);
+  std::vector<BandMember> members;
+  std::vector<double> sorted_x;
+  members.reserve(by_x.size());
+  sorted_x.reserve(by_x.size());
+  for (const Vec2& p : by_x) {
+    members.push_back({strip_of(p.y - half), strip_of(p.y + half)});
+    sorted_x.push_back(p.x);
   }
-  std::sort(by_entry.begin(), by_entry.end());
-  std::sort(by_exit.begin(), by_exit.end());
-
   const std::vector<double> xs =
-      BuildEvents(cell.x_lo, cell.x_hi, x_candidates);
+      MergeEvents(cell.x_lo, cell.x_hi, sorted_x, half);
 
   CoverTree cover(leaves);
   int64_t band = 0;  // current band population
@@ -170,14 +174,14 @@ std::vector<Rect> SweepCellImpl(const Rect& cell,
     const double x = xs[i];
     ++stats->x_strips;
     // Admit objects whose entry coordinate has been reached...
-    for (; next_entry < by_entry.size() && by_entry[next_entry].x <= x;
+    for (; next_entry < members.size() && sorted_x[next_entry] - half <= x;
          ++next_entry, ++band) {
-      cover.Add(by_entry[next_entry].y_lo, by_entry[next_entry].y_hi, +1);
+      cover.Add(members[next_entry].y_lo, members[next_entry].y_hi, +1);
     }
     // ...and expel objects whose exit coordinate has been reached.
-    for (; next_exit < by_exit.size() && by_exit[next_exit].x <= x;
+    for (; next_exit < members.size() && sorted_x[next_exit] + half <= x;
          ++next_exit, --band) {
-      cover.Add(by_exit[next_exit].y_lo, by_exit[next_exit].y_hi, -1);
+      cover.Add(members[next_exit].y_lo, members[next_exit].y_hi, -1);
     }
     if (band < n_min) continue;
     ++stats->y_sweeps;
@@ -202,6 +206,40 @@ std::vector<Rect> SweepCell(const Rect& cell,
       SweepCellImpl(cell, positions, l, n_min, &local, ctl);
   if (stats != nullptr) *stats += local;
   return result;
+}
+
+std::vector<Rect> JoinSweepStrips(std::vector<Rect> strips) {
+  // Compacts in place: `open` indexes the joined rectangles that reach the
+  // previous strip's right edge, in increasing y. Within one strip the runs
+  // are disjoint and y-sorted, so a run can only continue the open
+  // rectangle with its y_lo, and one merge pass per strip finds it.
+  std::vector<size_t> open;
+  std::vector<size_t> next_open;
+  size_t joined = 0;
+  size_t i = 0;
+  while (i < strips.size()) {
+    const double x_lo = strips[i].x_lo;
+    next_open.clear();
+    size_t k = 0;
+    for (; i < strips.size() && strips[i].x_lo == x_lo; ++i) {
+      const Rect r = strips[i];
+      while (k < open.size() && strips[open[k]].y_lo < r.y_lo) ++k;
+      if (k < open.size()) {
+        Rect& prev = strips[open[k]];
+        if (prev.x_hi == r.x_lo && prev.y_lo == r.y_lo &&
+            prev.y_hi == r.y_hi) {
+          prev.x_hi = r.x_hi;
+          next_open.push_back(open[k++]);
+          continue;
+        }
+      }
+      strips[joined] = r;
+      next_open.push_back(joined++);
+    }
+    open.swap(next_open);
+  }
+  strips.resize(joined);
+  return strips;
 }
 
 }  // namespace pdr

@@ -69,6 +69,14 @@ std::vector<Rect> SweepCell(const Rect& cell,
                             int64_t n_min, SweepStats* stats = nullptr,
                             const QueryControl* ctl = nullptr);
 
+/// Joins SweepCell's rectangles across its X-strips: a rectangle whose
+/// dense run [y_lo, y_hi) recurs in the next strip, starting at its x_hi,
+/// absorbs that strip's rectangle. `strips` must be in SweepCell's order
+/// (X-strips left to right, y-sorted within a strip). The result covers
+/// the same point set with at most as many rectangles, ordered by their
+/// first strip, then y.
+std::vector<Rect> JoinSweepStrips(std::vector<Rect> strips);
+
 }  // namespace pdr
 
 #endif  // PDR_SWEEP_PLANE_SWEEP_H_

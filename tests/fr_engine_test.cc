@@ -347,6 +347,53 @@ TEST(FrEngineTest, OneScanMatchesPerCellRangeQueriesAndReadsPagesOnce) {
   }
 }
 
+// Refinement joins each cell's sweep strips before the final coalesce;
+// the per-cell reference above coalesces the raw SweepCell strips. The
+// answers must agree to the bit, with the same fetched objects and sweep
+// work, over seeds x {clustered, uniform} x rho x l x q_t, serial and
+// fanned out.
+class FrJoinedStripsTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FrJoinedStripsTest, MatchesCoalescedRawStrips) {
+  constexpr int kObjects = 3000;
+  int64_t dense_rects = 0;
+  for (const uint64_t seed : {81, 82}) {
+    for (const bool clustered : {false, true}) {
+      FrEngine fr(SmallOptions());
+      fr.SetExecPolicy({.threads = GetParam()});
+      for (const UpdateEvent& e :
+           clustered
+               ? MakeClusteredInserts(kObjects, 4, kExtent, 20.0, 0.5, seed)
+               : MakeUniformInserts(kObjects, kExtent, 1.5, seed)) {
+        fr.Apply(e);
+      }
+      for (const double rho_scale : {1.0, 2.5}) {
+        for (const double l : {12.0, 25.0}) {
+          for (const Tick q_t : {Tick{0}, Tick{20}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << " clustered " << clustered
+                         << " rho x" << rho_scale << " l " << l << " q_t "
+                         << q_t);
+            const double rho = rho_scale * kObjects / (kExtent * kExtent);
+            const PerCellReference ref = RefineCellByCell(fr, q_t, rho, l);
+            const auto got = fr.Query(q_t, rho, l);
+            EXPECT_EQ(HexRects(got.region), HexRects(ref.region));
+            EXPECT_EQ(got.objects_fetched, ref.objects_fetched);
+            EXPECT_EQ(got.sweep.x_strips, ref.sweep.x_strips);
+            EXPECT_EQ(got.sweep.y_sweeps, ref.sweep.y_sweeps);
+            EXPECT_EQ(got.sweep.y_strips, ref.sweep.y_strips);
+            EXPECT_EQ(got.sweep.dense_rects, ref.sweep.dense_rects);
+            dense_rects += got.sweep.dense_rects;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(dense_rects, 1000);  // the comparison is not vacuous
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, FrJoinedStripsTest, ::testing::Values(1, 4));
+
 // A reported velocity far beyond any road speed predicts positions of
 // ~1e300 (or infinity) at later ticks. Such objects sit in leaves the
 // scan visits, so bucketing must place them without an overflowing
@@ -487,6 +534,22 @@ TEST_P(FrStageReportTest, TraceTreeIsTheQueryStages) {
   for (const auto& child : root.children) {
     EXPECT_TRUE(child->children.empty()) << child->name;
   }
+
+  // Each cell hands the coalesce its joined rectangles: at most one per
+  // strip rectangle it swept, and together the coalesce's whole input
+  // beside the accepted cells.
+  int64_t joined = 0;
+  int64_t strips = 0;
+  for (size_t i = 2; i + 1 < root.children.size(); ++i) {
+    const SpanNode& cell = *root.children[i];
+    EXPECT_LE(cell.IntAttrOr("rects", -1), cell.IntAttrOr("dense_rects", -1));
+    joined += cell.IntAttrOr("rects", 0);
+    strips += cell.IntAttrOr("dense_rects", 0);
+  }
+  EXPECT_EQ(strips, got.sweep.dense_rects);
+  EXPECT_LT(joined, strips);
+  EXPECT_EQ(root.children.back()->IntAttrOr("rects_in", -1),
+            joined + got.accepted_cells);
 
   // The scan is the query's only page reader.
   const SpanNode& scan = *root.children[1];

@@ -44,6 +44,7 @@
 #include "pdr/storage/disk_pager.h"
 #include "pdr/storage/fault_injector.h"
 #include "pdr/storage/page_format.h"
+#include "pdr/storage/serde.h"
 #include "transcript_util.h"
 
 namespace pdr {
@@ -417,6 +418,44 @@ TEST(CheckpointEventTest, RecordsTickAndPagesLogged) {
     EXPECT_EQ(e.b, logged);
   }
   EXPECT_EQ(checkpoints, 1);
+}
+
+// A store whose engine blob is not this engine's state fails to open with
+// a typed DecodeError, whichever check refuses it: the engine header (magic,
+// index kind) or the density histogram inside it (magic, options).
+TEST(RecoveryDecodeTest, ForeignEngineBlobIsDecodeError) {
+  constexpr uint32_t kEngineMagic = 0x454d5246u;  // "FRME"
+  constexpr uint32_t kEngineVersion = 1;
+  const auto header = [&](uint32_t magic, uint8_t kind) {
+    std::string meta;
+    PutPod(&meta, magic);
+    PutPod(&meta, kEngineVersion);
+    PutPod(&meta, kind);
+    return meta;
+  };
+  std::string bad_histogram = header(kEngineMagic, 0);
+  PutPod(&bad_histogram, uint32_t{0xdeadbeefu});
+  for (const std::string& meta :
+       {header(0xdeadbeefu, 0), header(kEngineMagic, 1), bad_histogram}) {
+    TempDir dir;
+    {
+      TprTree tree({.buffer_pages = 32, .horizon = 2 * kU,
+                    .storage_dir = dir.path()});
+      tree.Checkpoint(meta);
+    }
+    EXPECT_THROW(FrEngine(Opts(dir.path(), nullptr)), DecodeError);
+  }
+
+  // A real engine blob, reopened under a different histogram resolution.
+  TempDir dir;
+  {
+    FrEngine fr(Opts(dir.path(), nullptr));
+    Replay(MakeWorkload(), 0, kPhaseSplit, &fr);
+    fr.Checkpoint();
+  }
+  FrEngine::Options other = Opts(dir.path(), nullptr);
+  other.histogram_side = 10;
+  EXPECT_THROW(FrEngine{other}, DecodeError);
 }
 
 // An injected crash must leave a post-mortem behind: with the recorder

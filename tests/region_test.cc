@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <tuple>
+#include <vector>
+
 #include "pdr/common/random.h"
 
 namespace pdr {
@@ -119,6 +124,73 @@ TEST(RegionTest, CoalescedCanonicalAcrossOrder) {
   ASSERT_EQ(ca.size(), cb.size());
   for (size_t i = 0; i < ca.size(); ++i) {
     EXPECT_EQ(ca.rects()[i], cb.rects()[i]);
+  }
+}
+
+// Coalesced() emits a rectangle when its slab run ends: by x_hi, then by
+// x_lo (runs that started earlier were opened earlier), then by y_lo.
+TEST(RegionTest, CoalescedEmitsByXHiThenXLoThenYLo) {
+  Region r(std::vector<Rect>{Rect(1, 0, 3, 1), Rect(0, 4, 3, 5),
+                             Rect(0, 2, 3, 3), Rect(0, 6, 2, 7)});
+  const std::vector<Rect> want = {Rect(0, 6, 2, 7), Rect(0, 2, 3, 3),
+                                  Rect(0, 4, 3, 5), Rect(1, 0, 3, 1)};
+  EXPECT_EQ(r.Coalesced().rects(), want);
+}
+
+// Splits every rectangle at random interior x and y cuts, duplicates some
+// pieces and shuffles them: the same point set, tiled differently.
+std::vector<Rect> Retile(const std::vector<Rect>& rects, Rng& rng) {
+  std::vector<Rect> out;
+  for (const Rect& r : rects) {
+    std::vector<double> xs = {r.x_lo, r.x_hi};
+    std::vector<double> ys = {r.y_lo, r.y_hi};
+    for (int64_t k = rng.UniformInt(0, 3); k > 0; --k) {
+      xs.push_back(rng.Uniform(r.x_lo, r.x_hi));
+    }
+    for (int64_t k = rng.UniformInt(0, 3); k > 0; --k) {
+      ys.push_back(rng.Uniform(r.y_lo, r.y_hi));
+    }
+    for (std::vector<double>* cuts : {&xs, &ys}) {
+      std::sort(cuts->begin(), cuts->end());
+      cuts->erase(std::unique(cuts->begin(), cuts->end()), cuts->end());
+    }
+    for (size_t i = 0; i + 1 < xs.size(); ++i) {
+      for (size_t j = 0; j + 1 < ys.size(); ++j) {
+        const Rect piece(xs[i], ys[j], xs[i + 1], ys[j + 1]);
+        out.push_back(piece);
+        if (rng.Bernoulli(0.2)) out.push_back(piece);
+      }
+    }
+  }
+  std::shuffle(out.begin(), out.end(), rng);
+  return out;
+}
+
+// Coalesced()'s output, order included, depends only on the covered point
+// set: any re-tiling of the input gives back the identical vector. FR's
+// refinement relies on this to join sweep strips before the coalesce.
+TEST(RegionPropertyTest, CoalescedIsIndependentOfTiling) {
+  for (const bool integer : {true, false}) {
+    for (uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(std::to_string(seed) + (integer ? " integer" : " real"));
+      Rng rng(seed);
+      std::vector<Rect> rects;
+      for (int64_t n = rng.UniformInt(1, 12); n > 0; --n) {
+        double x = rng.Uniform(0, 20), y = rng.Uniform(0, 20);
+        double w = rng.Uniform(0.5, 8), h = rng.Uniform(0.5, 8);
+        if (integer) {
+          std::tie(x, y, w, h) = std::make_tuple(
+              std::floor(x), std::floor(y), std::ceil(w), std::ceil(h));
+        }
+        rects.emplace_back(x, y, x + w, y + h);
+      }
+      const std::vector<Rect> want = Region(rects).Coalesced().rects();
+      for (int trial = 0; trial < 5; ++trial) {
+        const Region retiled(Retile(rects, rng));
+        EXPECT_EQ(retiled.Coalesced().rects(), want);
+        EXPECT_EQ(Region(want).Coalesced().rects(), want);
+      }
+    }
   }
 }
 

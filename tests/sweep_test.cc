@@ -436,6 +436,78 @@ TEST(SweepEquivalenceTest, MatchesReferenceSweepBitForBit) {
   EXPECT_GT(cells_with_rects, kCells / 2);
 }
 
+TEST(JoinSweepStripsTest, EmptyInput) {
+  EXPECT_TRUE(JoinSweepStrips({}).empty());
+}
+
+TEST(JoinSweepStripsTest, AbuttingStripsWithEqualRunsJoin) {
+  EXPECT_EQ(JoinSweepStrips({Rect(0, 1, 1, 3), Rect(1, 1, 2.5, 3),
+                             Rect(2.5, 1, 4, 3)}),
+            std::vector<Rect>{Rect(0, 1, 4, 3)});
+}
+
+TEST(JoinSweepStripsTest, XGapDoesNotJoin) {
+  // The strip [1, 2) between them is not dense.
+  const std::vector<Rect> strips = {Rect(0, 1, 1, 3), Rect(2, 1, 3, 3)};
+  EXPECT_EQ(JoinSweepStrips(strips), strips);
+}
+
+TEST(JoinSweepStripsTest, DifferentRunsDoNotJoin) {
+  const std::vector<Rect> strips = {Rect(0, 1, 1, 3), Rect(1, 1, 2, 4),
+                                    Rect(2, 0, 3, 4)};
+  EXPECT_EQ(JoinSweepStrips(strips), strips);
+}
+
+TEST(JoinSweepStripsTest, SeveralRunsPerStrip) {
+  // Strip [0, 1) has the y-runs A = [0, 1) and B = [2, 3); strip [1, 2)
+  // keeps A and B and adds C = [4, 5); strip [2, 3) keeps B and C and adds
+  // D = [6, 7).
+  const std::vector<Rect> strips = {
+      Rect(0, 0, 1, 1), Rect(0, 2, 1, 3),                     // x in [0, 1)
+      Rect(1, 0, 2, 1), Rect(1, 2, 2, 3), Rect(1, 4, 2, 5),   // x in [1, 2)
+      Rect(2, 2, 3, 3), Rect(2, 4, 3, 5), Rect(2, 6, 3, 7)};  // x in [2, 3)
+  EXPECT_EQ(JoinSweepStrips(strips),
+            (std::vector<Rect>{Rect(0, 0, 2, 1), Rect(0, 2, 3, 3),
+                               Rect(1, 4, 3, 5), Rect(2, 6, 3, 7)}));
+}
+
+TEST(JoinSweepStripsTest, WholeCellWhenThresholdIsZero) {
+  const Rect cell(0, 0, 10, 10);
+  EXPECT_EQ(JoinSweepStrips(SweepCell(cell, {{5, 5}}, 2.0, 0)),
+            std::vector<Rect>{cell});
+}
+
+// On real sweeps the join covers the same point set with fewer rectangles,
+// so the coalesced region is the same vector.
+TEST(JoinSweepStripsTest, JoinedSweepCoalescesIdentically) {
+  int64_t strips_total = 0;
+  int64_t joined_total = 0;
+  for (int c = 0; c < 200; ++c) {
+    Rng rng(0x701Eu + static_cast<uint64_t>(c));
+    const double l = std::vector<double>{1.0, 2.5, 4.0}[c % 3];
+    const bool snapped = c % 2 == 0;
+    const auto coord = [&](double lo, double hi) {
+      const double v = rng.Uniform(lo, hi);
+      return snapped ? std::round(v / (l / 2)) * (l / 2) : v;
+    };
+    const Rect cell(0, 0, 10, 10);
+    std::vector<Vec2> objs;
+    for (int64_t i = rng.UniformInt(0, 120); i > 0; --i) {
+      objs.push_back({coord(-l, 10 + l), coord(-l, 10 + l)});
+    }
+    const int64_t n_min = rng.UniformInt(1, 6);
+    const std::vector<Rect> strips = SweepCell(cell, objs, l, n_min);
+    const std::vector<Rect> joined = JoinSweepStrips(strips);
+    ASSERT_LE(joined.size(), strips.size());
+    ASSERT_EQ(Region(joined).Coalesced().rects(),
+              Region(strips).Coalesced().rects())
+        << "cell " << c;
+    strips_total += static_cast<int64_t>(strips.size());
+    joined_total += static_cast<int64_t>(joined.size());
+  }
+  EXPECT_LT(2 * joined_total, strips_total);
+}
+
 // Deterministic complexity guard: the report descends only into nodes that
 // straddle a dense/non-dense boundary, so its node visits (y_strips) are
 // O((x_strips + dense_rects) log n). A sweep that falls back to scanning
