@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "pdr/core/fr_snapshot_state.h"
 #include "pdr/mvcc/snapshot_manager.h"
@@ -98,10 +99,10 @@ struct FrMetrics {
 };
 
 // The candidate windows of one FR query, cell.Expanded(l/2) per candidate
-// cell, for the index scan's node test. A 2-D prefix sum over the
-// candidate mask rejects a node with no candidate cell near it in O(1);
-// the cells it lets through get the exact closed-intersection test, so
-// the scan enters exactly the nodes some per-cell range query would.
+// cell, for the index scan's node and entry tests. A 2-D prefix sum over
+// the candidate mask rejects a node with no candidate cell near it in
+// O(1); the cells it lets through get the exact closed-intersection test,
+// so the scan enters exactly the nodes some per-cell range query would.
 class CandidateWindows {
  public:
   CandidateWindows(const Grid& grid, const FilterResult& filter, double l)
@@ -115,6 +116,16 @@ class CandidateWindows {
                                           prefix_[Flat(col, row)];
       }
     }
+  }
+
+  /// True when some candidate window contains `p` (closed), in O(1): the
+  /// windows are products of per-axis intervals that grow with the index,
+  /// so the columns (rows) whose interval holds p.x (p.y) are one run.
+  bool Contains(const Vec2& p) const {
+    const auto [col_lo, col_hi] = AxisRun(p.x);
+    const auto [row_lo, row_hi] = AxisRun(p.y);
+    return col_lo <= col_hi && row_lo <= row_hi &&
+           Candidates(col_lo, row_lo, col_hi, row_hi) != 0;
   }
 
   /// True when the closed rectangle `r` meets some candidate window.
@@ -147,6 +158,22 @@ class CandidateWindows {
   size_t Flat(int col, int row) const {
     return static_cast<size_t>(row) * (m_ + 1) + col;
   }
+  // The indices k whose window interval [k·e − l/2, (k+1)·e + l/2] holds
+  // `v`: a slightly wider estimate, trimmed with the exact
+  // CellRect(k, ·).Expanded(l/2) bounds the per-window test compares
+  // against (rows get the same bounds as columns; a NaN trims to empty).
+  std::pair<int, int> AxisRun(double v) const {
+    int lo = std::max(grid_.ColOf(v - half_) - 2, 0);
+    int hi = std::min(grid_.ColOf(v + half_) + 1, m_ - 1);
+    while (lo <= hi && !(grid_.CellRect(lo, 0).Expanded(half_).x_hi >= v)) {
+      ++lo;
+    }
+    while (lo <= hi && !(grid_.CellRect(hi, 0).Expanded(half_).x_lo <= v)) {
+      --hi;
+    }
+    return {lo, hi};
+  }
+
   // Candidate cells in the inclusive block [col_lo, col_hi] x [row_lo,
   // row_hi].
   int Candidates(int col_lo, int row_lo, int col_hi, int row_hi) const {
@@ -298,12 +325,14 @@ std::shared_ptr<const FrSnapshotState> FrEngine::CaptureState() const {
 void FrEngine::QueryResult::FillExplain(ExplainRecord* explain) const {
   explain->query_id = query_id;
   explain->stages.push_back({"filter", filter_ms, true});
-  explain->stages.push_back({"refine", refine_ms, true});
+  explain->stages.push_back({"scan", scan_ms, true});
+  explain->stages.push_back({"sweep", sweep_ms, true});
+  explain->stages.push_back({"coalesce", coalesce_ms, true});
   explain->accepted_cells = accepted_cells;
   explain->rejected_cells = rejected_cells;
   explain->candidate_cells = candidate_cells;
   explain->objects_fetched = objects_fetched;
-  explain->dense_rects = sweep.dense_rects;
+  explain->dense_rects = static_cast<int64_t>(region.size());
   explain->pages_read_physical = cost.io.physical_reads;
   explain->pages_read_logical = cost.io.logical_reads;
 }
@@ -361,36 +390,41 @@ FrEngine::QueryResult FrQueryCore(
   result.candidate_cells = filter.candidates;
 
   // --- refinement step -----------------------------------------------------
-  // Four sub-phases so serial and parallel execution produce the same
-  // rectangles and the same I/O: collect candidate cells in row-major
-  // order; scan the index once for the whole query and bucket the scanned
-  // positions by grid cell (serial, the only phase that reads pages);
-  // refine each candidate independently from the buckets (inline and in
-  // order when serial, fanned out over the pool when parallel); then merge
-  // per-cell outputs back in row-major order, interleaved with the
-  // accepted cells' rectangles.
+  // Three stages so serial and parallel execution produce the same
+  // rectangles and the same I/O. Scan: collect the candidate cells'
+  // row-runs (maximal sets of horizontally adjacent candidates in one
+  // grid row), scan the index once for the whole query and bucket the
+  // positions inside some candidate window by grid cell (serial, the only
+  // phase that reads pages). Sweep: sweep each run once from the buckets
+  // (inline and in order when serial, fanned out over the pool when
+  // parallel), then merge the runs' rectangles in row-major order with the
+  // accepted cells. Coalesce: one Region::Coalesced(), whose output
+  // depends only on the covered point set, not on how refinement tiled it.
   Timer refine_timer;
   const int m = grid.cells_per_side();
-  struct Candidate {
-    int col, row;
+  struct Run {
+    int row, col_lo, col_hi;
   };
-  struct CellOut {
+  struct RunOut {
     std::vector<Rect> rects;
-    int64_t objects = 0;
     SweepStats sweep;
   };
-  std::vector<Candidate> candidates;
+  std::vector<Run> runs;
   for (int row = 0; row < m; ++row) {
     for (int col = 0; col < m; ++col) {
-      if (filter.At(col, row) == CellClass::kCandidate) {
-        candidates.push_back({col, row});
+      if (filter.At(col, row) != CellClass::kCandidate) continue;
+      if (!runs.empty() && runs.back().row == row &&
+          runs.back().col_hi == col - 1) {
+        runs.back().col_hi = col;
+      } else {
+        runs.push_back({row, col, col});
       }
     }
   }
 
   const QueryControl* control = ctl.active() ? &ctl : nullptr;
   CellBuckets buckets;
-  if (!candidates.empty()) {
+  if (!runs.empty()) {
     const CandidateWindows windows(grid, filter, l);
     std::vector<Vec2> scanned;
     {
@@ -398,8 +432,9 @@ FrEngine::QueryResult FrQueryCore(
       const ScanStats scan = TprTree::Traverse(
           buffers, root, q_t,
           [&windows](const Rect& r) { return windows.Meets(r); },
-          [&scanned, q_t](ObjectId, const MotionState& state) {
-            scanned.push_back(state.PositionAt(q_t));
+          [&scanned, &windows, q_t](ObjectId, const MotionState& state) {
+            const Vec2 p = state.PositionAt(q_t);
+            if (windows.Contains(p)) scanned.push_back(p);
           },
           control);
       FlightRecorder::Record(FrEvent::kScan, scan.nodes_visited, scan.entries);
@@ -413,22 +448,29 @@ FrEngine::QueryResult FrQueryCore(
         scan_span.SetAttr("io_logical", scan_io.logical_reads);
       }
     }
+    // Each object sits in the tree once, so this counts the distinct
+    // objects inside some candidate window, however refinement tiles them.
+    result.objects_fetched = static_cast<int64_t>(scanned.size());
     buckets = CellBuckets(grid, scanned);
   }
+  result.scan_ms = refine_timer.ElapsedMillis();
 
-  const bool fan_out = pool != nullptr && candidates.size() > 1;
-  std::vector<CellOut> outs(candidates.size());
+  const bool fan_out = pool != nullptr && runs.size() > 1;
+  std::vector<RunOut> outs(runs.size());
 
-  const auto refine_cell = [&](int64_t i) {
-    // Cancellation point per candidate cell (plus per sweep strip inside
-    // SweepCell): a deadline-expired refinement abandons the query here.
+  const auto refine_run = [&](int64_t i) {
+    // Cancellation point per run (plus per sweep strip inside SweepCell):
+    // a deadline-expired refinement abandons the query here.
     if (control != nullptr) control->Check();
-    const Candidate c = candidates[static_cast<size_t>(i)];
-    CellOut& out = outs[static_cast<size_t>(i)];
-    TraceSpan cell_span("fr.cell");
-    const Rect cell = grid.CellRect(c.col, c.row);
-    const Rect window = cell.Expanded(l / 2);
-    // Every scanned position inside the closed window lies in a bucket
+    const Run run = runs[static_cast<size_t>(i)];
+    RunOut& out = outs[static_cast<size_t>(i)];
+    TraceSpan run_span("fr.run");
+    // The run's edges are its end cells' edges, bit for bit.
+    const Rect first = grid.CellRect(run.col_lo, run.row);
+    const Rect rect(first.x_lo, first.y_lo,
+                    grid.CellRect(run.col_hi, run.row).x_hi, first.y_hi);
+    const Rect window = rect.Expanded(l / 2);
+    // Every bucketed position inside the closed window lies in a bucket
     // between the window corners' cells (CellOf is monotone per axis).
     std::vector<Vec2> positions;
     const int col_lo = grid.ColOf(window.x_lo);
@@ -437,53 +479,51 @@ FrEngine::QueryResult FrQueryCore(
          ++row) {
       for (const Vec2& p : buckets.Range(grid.FlatIndex(col_lo, row),
                                          grid.FlatIndex(col_hi, row))) {
-        if (!window.ContainsClosed(p)) continue;
-        ++out.objects;
-        if (grid.InDomain(p)) positions.push_back(p);
+        if (window.ContainsClosed(p) && grid.InDomain(p)) {
+          positions.push_back(p);
+        }
       }
     }
-    // Joining the cell's strips here, on the worker that swept it, shrinks
-    // the final coalesce's input; the coalesced answer depends only on the
-    // covered point set, so the join cannot change it.
+    // Joining the run's strips here, on the worker that swept it, shrinks
+    // the final coalesce's input.
     out.rects = JoinSweepStrips(
-        SweepCell(cell, positions, l, n_min, &out.sweep, control));
-    if (cell_span.active()) {
-      cell_span.SetAttr("col", c.col);
-      cell_span.SetAttr("row", c.row);
-      cell_span.SetAttr("objects", out.objects);
-      cell_span.SetAttr("positions", static_cast<int64_t>(positions.size()));
-      cell_span.SetAttr("x_strips", out.sweep.x_strips);
-      cell_span.SetAttr("y_sweeps", out.sweep.y_sweeps);
-      cell_span.SetAttr("dense_rects", out.sweep.dense_rects);
-      cell_span.SetAttr("rects", static_cast<int64_t>(out.rects.size()));
+        SweepCell(rect, positions, l, n_min, &out.sweep, control));
+    if (run_span.active()) {
+      run_span.SetAttr("row", run.row);
+      run_span.SetAttr("col_lo", run.col_lo);
+      run_span.SetAttr("col_hi", run.col_hi);
+      run_span.SetAttr("positions", static_cast<int64_t>(positions.size()));
+      run_span.SetAttr("x_strips", out.sweep.x_strips);
+      run_span.SetAttr("y_sweeps", out.sweep.y_sweeps);
+      run_span.SetAttr("dense_rects", out.sweep.dense_rects);
+      run_span.SetAttr("rects", static_cast<int64_t>(out.rects.size()));
     }
   };
 
   if (fan_out) {
-    pool->ParallelFor(static_cast<int64_t>(candidates.size()), refine_cell,
-                      control);
+    pool->ParallelFor(static_cast<int64_t>(runs.size()), refine_run, control);
   } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(candidates.size()); ++i) {
-      refine_cell(i);
+    for (int64_t i = 0; i < static_cast<int64_t>(runs.size()); ++i) {
+      refine_run(i);
     }
   }
 
   // --- deterministic merge -------------------------------------------------
   Region region;
-  size_t next_candidate = 0;
+  size_t next_run = 0;
   for (int row = 0; row < m; ++row) {
     for (int col = 0; col < m; ++col) {
-      const CellClass cls = filter.At(col, row);
-      if (cls == CellClass::kAccept) {
+      if (filter.At(col, row) == CellClass::kAccept) {
         region.Add(grid.CellRect(col, row));
-      } else if (cls == CellClass::kCandidate) {
-        const CellOut& out = outs[next_candidate++];
+      } else if (next_run < runs.size() && runs[next_run].row == row &&
+                 runs[next_run].col_lo == col) {
+        const RunOut& out = outs[next_run++];
         for (const Rect& r : out.rects) region.Add(r);
-        result.objects_fetched += out.objects;
         result.sweep += out.sweep;
       }
     }
   }
+  result.sweep_ms = refine_timer.ElapsedMillis() - result.scan_ms;
   {
     TraceSpan coalesce_span("fr.coalesce");
     result.region = region.Coalesced();
@@ -491,10 +531,12 @@ FrEngine::QueryResult FrQueryCore(
     coalesce_span.SetAttr("rects_out",
                           static_cast<int64_t>(result.region.size()));
   }
-  result.refine_ms = refine_timer.ElapsedMillis();
-  // The recorder sees one event per stage, not per cell: at thousands of
-  // candidate cells a per-cell event pair costs more than the recorder's
-  // overhead budget on a query this fast.
+  result.coalesce_ms =
+      refine_timer.ElapsedMillis() - result.scan_ms - result.sweep_ms;
+  result.refine_ms = result.scan_ms + result.sweep_ms + result.coalesce_ms;
+  // The recorder sees one event per stage, not per run: at hundreds of
+  // runs a per-run event pair costs more than the recorder's overhead
+  // budget on a query this fast.
   FlightRecorder::Record(
       FrEvent::kSweep,
       FlightRecorder::Pack(result.sweep.x_strips, result.sweep.y_sweeps),
@@ -516,6 +558,7 @@ FrEngine::QueryResult FrQueryCore(
   span.SetAttr("accepted", result.accepted_cells);
   span.SetAttr("rejected", result.rejected_cells);
   span.SetAttr("candidates", result.candidate_cells);
+  span.SetAttr("runs", static_cast<int64_t>(runs.size()));
   span.SetAttr("objects_fetched", result.objects_fetched);
   span.SetAttr("dense_rects", result.sweep.dense_rects);
   return result;

@@ -83,7 +83,7 @@ class FrEngine {
   explicit FrEngine(const Options& options);
   ~FrEngine();
 
-  /// Switches how refinement fans out. Per-candidate-cell results merge in
+  /// Switches how refinement fans out. Per-row-run results merge in
   /// row-major cell order, so the answer (and every counter derived from
   /// it) is bit-identical to serial execution at any thread count.
   void SetExecPolicy(const ExecPolicy& exec);
@@ -101,20 +101,27 @@ class FrEngine {
     int64_t accepted_cells = 0;
     int64_t rejected_cells = 0;
     int64_t candidate_cells = 0;
-    /// Objects inside each candidate's square, summed over candidates
-    /// (what one range query per candidate cell would return).
+    /// Distinct objects inside some candidate's square (the union of the
+    /// candidate windows): a count of the answer's inputs that no tiling
+    /// of the refinement changes.
     int64_t objects_fetched = 0;
-    SweepStats sweep;
+    SweepStats sweep;  ///< summed over the candidate row-runs' sweeps
     double filter_ms = 0.0;  ///< CPU spent in the filtering step
-    double refine_ms = 0.0;  ///< CPU spent in refinement (fan-out + merge)
+    /// CPU spent in refinement: scan_ms + sweep_ms + coalesce_ms.
+    double refine_ms = 0.0;
+    double scan_ms = 0.0;      ///< index scan and bucketing
+    double sweep_ms = 0.0;     ///< row-run sweeps (fan-out) and merge
+    double coalesce_ms = 0.0;  ///< the final Region::Coalesced()
     /// Flight-recorder correlation key for this query's micro-events (0
     /// when the recorder is disabled).
     uint32_t query_id = 0;
 
     /// Writes this answer's provenance into `explain`: the query id, the
-    /// "filter" and "refine" stages, the filter's cell counts, the
-    /// refinement's work and the pages read. The caller stamps what the
-    /// request knows (q_t, rho, l, tier, budget, elapsed time, epoch).
+    /// "filter", "scan", "sweep" and "coalesce" stages, the filter's cell
+    /// counts, the fetched objects, the answer's rectangle count and the
+    /// pages read; call it before moving `region` out. The caller stamps
+    /// what the request knows (q_t, rho, l, tier, budget, elapsed time,
+    /// epoch).
     void FillExplain(ExplainRecord* explain) const;
   };
 
@@ -127,8 +134,8 @@ class FrEngine {
   /// only, so answers past it would be silent extrapolation.
   ///
   /// An active `ctl` (deadline and/or cancel token) is checked at entry,
-  /// before each candidate cell's refinement, per plane-sweep strip at
-  /// both sweep levels, and by ParallelFor runners between cells; a
+  /// before each candidate row-run's sweep, per plane-sweep strip at
+  /// both sweep levels, and by ParallelFor runners between runs; a
   /// cancelled query throws CancelledError within one work quantum. The
   /// default (inactive) control leaves the query path bit-identical to
   /// uncontrolled execution.

@@ -139,9 +139,9 @@ PdrMonitor::Delta PdrMonitor::OnTick(Tick now) {
     auto result = engine_->Query(delta.q_t, options_.rho, options_.l);
     if (predicted) calibrator_->Observe(*predicted, result);
     delta.cost = result.cost;
-    delta.current = std::move(result.region);
     delta.explain.tier = AnswerTier::kExact;
-    result.FillExplain(&delta.explain);
+    result.FillExplain(&delta.explain);  // reads the region: before the move
+    delta.current = std::move(result.region);
   }
 
   // Shadow audit (PA-primary only). The sampling roll stays on this thread
@@ -279,6 +279,7 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
       Timer query_timer;
       FrEngine::QueryResult r = engine_->Query(q_t, s.rho, s.l);
       TieredResult& t = out[i];
+      r.FillExplain(&t.explain);  // reads the region: before the move
       t.region = std::move(r.region);
       t.cost = r.cost;
       t.tier = AnswerTier::kExact;
@@ -288,7 +289,6 @@ std::vector<TieredResult> PdrMonitor::QueryBatch(
       t.explain.l = s.l;
       t.explain.tier = AnswerTier::kExact;
       t.explain.elapsed_ms = t.elapsed_ms;
-      r.FillExplain(&t.explain);
     }
   }
   static Counter& batches =

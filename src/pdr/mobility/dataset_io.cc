@@ -5,6 +5,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+
+#include "pdr/common/errors.h"
 
 namespace pdr {
 namespace {
@@ -23,7 +26,7 @@ T Get(std::istream& is) {
   static_assert(std::is_trivially_copyable_v<T>);
   T value;
   is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  if (!is) throw std::runtime_error("dataset stream truncated");
+  if (!is) throw DecodeError("dataset stream truncated");
   return value;
 }
 
@@ -31,22 +34,25 @@ T Get(std::istream& is) {
 // position poisons the histogram counts and every Rect comparison, and an
 // Inf velocity explodes the TPR bounding rectangles — far from where the
 // bad value entered. Reject at the I/O boundary with a message naming the
-// field instead.
-void CheckFinite(double v, const char* field, const char* verb) {
-  if (std::isfinite(v)) return;
-  throw std::runtime_error(std::string(verb) + ": non-finite " + field +
-                           " (NaN or Inf) in motion state");
-}
-
+// field instead: a refused write is a runtime_error, a refused read a
+// DecodeError.
+template <typename Error>
 void ValidateState(const MotionState& s, const char* verb) {
-  CheckFinite(s.pos.x, "position x", verb);
-  CheckFinite(s.pos.y, "position y", verb);
-  CheckFinite(s.vel.x, "velocity x", verb);
-  CheckFinite(s.vel.y, "velocity y", verb);
+  const std::pair<double, const char*> fields[] = {
+      {s.pos.x, "position x"},
+      {s.pos.y, "position y"},
+      {s.vel.x, "velocity x"},
+      {s.vel.y, "velocity y"}};
+  for (const auto& [v, field] : fields) {
+    if (!std::isfinite(v)) {
+      throw Error(std::string(verb) + ": non-finite " + field +
+                  " (NaN or Inf) in motion state");
+    }
+  }
 }
 
 void PutState(std::ostream& os, const MotionState& s) {
-  ValidateState(s, "dataset write rejected");
+  ValidateState<std::runtime_error>(s, "dataset write rejected");
   Put(os, s.pos.x);
   Put(os, s.pos.y);
   Put(os, s.vel.x);
@@ -61,7 +67,7 @@ MotionState GetState(std::istream& is) {
   s.vel.x = Get<double>(is);
   s.vel.y = Get<double>(is);
   s.t_ref = Get<Tick>(is);
-  ValidateState(s, "corrupt dataset");
+  ValidateState<DecodeError>(s, "corrupt dataset");
   return s;
 }
 
@@ -106,12 +112,12 @@ Dataset ReadDataset(std::istream& is) {
   char magic[4];
   is.read(magic, sizeof(magic));
   if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("not a PDR dataset (bad magic)");
+    throw DecodeError("not a PDR dataset (bad magic)");
   }
   const uint32_t version = Get<uint32_t>(is);
   if (version != kVersion) {
-    throw std::runtime_error("unsupported dataset version " +
-                             std::to_string(version));
+    throw DecodeError("unsupported dataset version " +
+                      std::to_string(version));
   }
 
   Dataset dataset;
@@ -130,23 +136,22 @@ Dataset ReadDataset(std::istream& is) {
   c.network.hotspot_zipf = Get<double>(is);
   c.network.seed = Get<uint64_t>(is);
   if (!std::isfinite(c.extent) || c.extent <= 0.0) {
-    throw std::runtime_error(
-        "corrupt dataset: extent must be finite and positive");
+    throw DecodeError("corrupt dataset: extent must be finite and positive");
   }
   if (c.num_objects < 0 || c.max_update_interval <= 0) {
-    throw std::runtime_error(
+    throw DecodeError(
         "corrupt dataset: negative object count or non-positive U");
   }
 
   const uint32_t num_ticks = Get<uint32_t>(is);
   if (num_ticks > (1u << 24)) {
-    throw std::runtime_error("implausible tick count (corrupt file)");
+    throw DecodeError("implausible tick count (corrupt file)");
   }
   dataset.ticks.resize(num_ticks);
   for (auto& batch : dataset.ticks) {
     const uint32_t count = Get<uint32_t>(is);
     if (count > (1u << 28)) {
-      throw std::runtime_error("implausible batch size (corrupt file)");
+      throw DecodeError("implausible batch size (corrupt file)");
     }
     batch.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
@@ -157,7 +162,7 @@ Dataset ReadDataset(std::istream& is) {
       if (flags & 1) e.old_state = GetState(is);
       if (flags & 2) e.new_state = GetState(is);
       if (flags == 0 || flags > 3) {
-        throw std::runtime_error("corrupt update flags");
+        throw DecodeError("corrupt update flags");
       }
       batch.push_back(e);
     }

@@ -223,9 +223,21 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
   // The refinement step scans the index once per query, entering the
   // nodes that meet some candidate window, so its page touches follow the
   // objects near the union of those windows: the cells within l/2 of a
-  // candidate window, each counted once.
+  // candidate window, each counted once. Its fetched objects are the
+  // objects inside that union: the cells of some candidate's expansive
+  // block, each counted once.
   const int scan_hw = ExpansiveHalfWidth(2.0 * l, cell_edge);
   std::vector<char> scanned(static_cast<size_t>(m) * m, 0);
+  std::vector<char> windowed(static_cast<size_t>(m) * m, 0);
+  const auto mark = [&grid, m](std::vector<char>& mask, int c, int r,
+                               int hw) {
+    for (int rr = std::max(0, r - hw); rr <= std::min(m - 1, r + hw); ++rr) {
+      for (int cc = std::max(0, c - hw); cc <= std::min(m - 1, c + hw);
+           ++cc) {
+        mask[static_cast<size_t>(grid.FlatIndex(cc, rr))] = 1;
+      }
+    }
+  };
   for (int r = 0; r < m; ++r) {
     for (int c = 0; c < m; ++c) {
       const double cons = cons_hw >= 0 ? block_sum(c, r, cons_hw) : 0.0;
@@ -236,16 +248,8 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
         pred.rejected_cells += 1.0;
       } else {
         pred.candidate_cells += 1.0;
-        // The candidate's window is the cell grown by l/2 — the expansive
-        // block is the histogram's best estimate of its object count.
-        pred.objects_fetched += expn;
-        for (int rr = std::max(0, r - scan_hw);
-             rr <= std::min(m - 1, r + scan_hw); ++rr) {
-          for (int cc = std::max(0, c - scan_hw);
-               cc <= std::min(m - 1, c + scan_hw); ++cc) {
-            scanned[static_cast<size_t>(grid.FlatIndex(cc, rr))] = 1;
-          }
-        }
+        mark(windowed, c, r, exp_hw);
+        mark(scanned, c, r, scan_hw);
       }
     }
   }
@@ -262,6 +266,7 @@ CostPrediction CostCalibrator::Predict(Tick q_t, double rho,
     double near_objects = 0.0;
     for (size_t k = 0; k < scanned.size(); ++k) {
       if (scanned[k]) near_objects += static_cast<double>(slice[k]);
+      if (windowed[k]) pred.objects_fetched += static_cast<double>(slice[k]);
     }
     pred.io_reads =
         std::min(static_cast<double>(index.node_count()),

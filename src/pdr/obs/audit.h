@@ -161,7 +161,7 @@ struct CostPrediction {
   double accepted_cells = 0.0;
   double rejected_cells = 0.0;
   double candidate_cells = 0.0;
-  double objects_fetched = 0.0;  ///< candidate-window object estimate
+  double objects_fetched = 0.0;  ///< objects in the candidate windows' union
   double io_reads = 0.0;  ///< predicted index page touches (logical reads)
   double io_ms = 0.0;     ///< cold-cache bound: io_reads at the I/O rate
 };

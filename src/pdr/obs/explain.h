@@ -34,8 +34,9 @@ enum class DowngradeReason : uint8_t;
 
 /// One ladder stage the query actually ran, in execution order.
 struct ExplainStage {
-  /// "filter" | "refine" | "exact" (cancelled before its parts were
-  /// attributed) | "fft" | "approx" | "histogram"
+  /// "filter" | "scan" | "sweep" | "coalesce" (the exact FR rung's
+  /// stages) | "exact" (cancelled before its parts were attributed) |
+  /// "fft" | "approx" | "histogram"
   std::string name;
   double spent_ms = 0.0;
   bool completed = true;  ///< false: cancelled mid-stage
@@ -67,7 +68,9 @@ struct ExplainRecord {
   int64_t rejected_cells = 0;
   int64_t candidate_cells = 0;
 
-  // Refinement work (exact tier).
+  // Refinement work (exact tier), in counts no tiling of the refinement
+  // changes: distinct objects inside some candidate window, and the
+  // answer's rectangles.
   int64_t objects_fetched = 0;
   int64_t dense_rects = 0;
 

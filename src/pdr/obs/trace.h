@@ -8,7 +8,7 @@
 //   fr.query
 //   ├─ fr.filter
 //   ├─ tpr.scan     (the query's one index traversal)
-//   ├─ fr.cell      (per candidate: gather + plane sweep)
+//   ├─ fr.run       (per candidate row-run: gather + plane sweep)
 //   └─ fr.coalesce
 //
 // without any explicit plumbing between layers. Every one of these spans

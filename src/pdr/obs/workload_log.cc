@@ -9,6 +9,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "pdr/common/errors.h"
 #include "pdr/obs/registry.h"
 #include "pdr/resilience/executor.h"
 #include "pdr/storage/serde.h"
@@ -155,7 +156,7 @@ WorkloadLogHeader DecodeHeader(ByteReader* reader, const std::string& path) {
   h.io_ms = reader->Get<double>();
   const uint8_t index = reader->Get<uint8_t>();
   if (index != kIndexKindTpr) {
-    throw std::runtime_error(
+    throw DecodeError(
         "workload log: unsupported header in " + path + ": index kind " +
         std::to_string(index) +
         " (1 was the retired B^x-tree backend; only 0, the TPR-tree, "
@@ -230,13 +231,6 @@ uint64_t TickDigest(const PdrMonitor::Delta& delta) {
   AppendRegionBits("appeared", delta.appeared, &transcript);
   AppendRegionBits("vanished", delta.vanished, &transcript);
   AppendRegionBits("maybe", delta.maybe_region, &transcript);
-  AppendF(&transcript,
-          "cells=%" PRId64 "/%" PRId64 "/%" PRId64 " fetched=%" PRId64
-          " rects=%" PRId64 " bnb=%" PRId64 "/%" PRId64 "\n",
-          delta.explain.accepted_cells, delta.explain.candidate_cells,
-          delta.explain.rejected_cells, delta.explain.objects_fetched,
-          delta.explain.dense_rects, delta.explain.bnb_nodes,
-          delta.explain.bnb_pruned);
   return Fnv1a64(transcript.data(), transcript.size());
 }
 
@@ -439,15 +433,15 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
   std::fclose(f);
 
   if (bytes.size() < sizeof(LogFileHeader)) {
-    throw std::runtime_error("workload log: " + path + " is not a PDRL file");
+    throw DecodeError("workload log: " + path + " is not a PDRL file");
   }
   LogFileHeader fh;
   std::memcpy(&fh, bytes.data(), sizeof(fh));
   if (fh.magic != kLogMagic) {
-    throw std::runtime_error("workload log: bad magic in " + path);
+    throw DecodeError("workload log: bad magic in " + path);
   }
   if (fh.version != kLogVersion) {
-    throw std::runtime_error("workload log: unsupported version in " + path);
+    throw DecodeError("workload log: unsupported version in " + path);
   }
 
   WorkloadLog log;
@@ -461,8 +455,7 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
     RecordHeader rh;
     std::memcpy(&rh, bytes.data() + pos, sizeof(rh));
     if (rh.magic != kRecordMagic) {
-      throw std::runtime_error("workload log: corrupt record header in " +
-                               path);
+      throw DecodeError("workload log: corrupt record header in " + path);
     }
     if (bytes.size() - pos - sizeof(rh) < rh.payload_len) {
       log.torn_tail = true;
@@ -473,7 +466,7 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
     if (RecordChecksum(rh.type, payload) != rh.checksum) {
       // Interior corruption is not a torn tail: the record is fully
       // present and wrong. Refuse the whole log.
-      throw std::runtime_error("workload log: checksum mismatch in " + path);
+      throw DecodeError("workload log: checksum mismatch in " + path);
     }
     pos += sizeof(rh) + rh.payload_len;
 
@@ -488,12 +481,20 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
         rec.kind = WorkloadLogRecord::Kind::kUpdates;
         rec.tick = reader.Get<Tick>();
         const uint32_t count = reader.Get<uint32_t>();
+        // Each update holds at least its id and flags byte.
+        if (count > reader.remaining() / (sizeof(ObjectId) + 1)) {
+          throw DecodeError("workload log: implausible update count in " +
+                            path);
+        }
         rec.updates.reserve(count);
         for (uint32_t i = 0; i < count; ++i) {
           UpdateEvent e;
           e.tick = rec.tick;
           e.id = reader.Get<ObjectId>();
           const uint8_t flags = reader.Get<uint8_t>();
+          if (flags > 3) {
+            throw DecodeError("workload log: corrupt update flags in " + path);
+          }
           if (flags & 1) e.old_state = GetMotionState(&reader);
           if (flags & 2) e.new_state = GetMotionState(&reader);
           rec.updates.push_back(std::move(e));
@@ -526,13 +527,11 @@ WorkloadLog WorkloadLog::Load(const std::string& path) {
         break;
       }
       default:
-        throw std::runtime_error("workload log: unknown record type in " +
-                                 path);
+        throw DecodeError("workload log: unknown record type in " + path);
     }
   }
   if (!saw_header) {
-    throw std::runtime_error("workload log: missing header record in " +
-                             path);
+    throw DecodeError("workload log: missing header record in " + path);
   }
   log.bytes = static_cast<int64_t>(pos);
   return log;

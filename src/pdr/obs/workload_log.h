@@ -15,11 +15,13 @@
 //     UpdateEvent batch, doubles serialized as bit patterns;
 //   * one tick record per PdrMonitor evaluation: (now, q_t), the achieved
 //     tier, and two result digests — a 64-bit FNV hash of the answer
-//     transcript (region rectangles as raw IEEE-754 bit patterns,
-//     filter/refine/BnB counts) and
-//     a hash of the EXPLAIN DeterministicSignature. Both cover exactly
-//     the thread-count-invariant logical answer, never wall times or
-//     physical I/O, so a digest comparison is a bit-identity check.
+//     alone (region rectangles as raw IEEE-754 bit patterns, tier,
+//     reason, shed) and a hash of the EXPLAIN DeterministicSignature,
+//     the provenance (stages, filter/refinement/BnB counts). Both cover
+//     only thread-count-invariant values, never wall times or physical
+//     I/O, so a digest comparison is a bit-identity check; a digest diff
+//     means the answer changed, a sig-only diff that only the provenance
+//     did.
 //
 // Framing follows the WAL's discipline: every record is
 // {magic, type, payload_len, fnv1a64 checksum} + payload, append-only.
@@ -122,8 +124,9 @@ struct WorkloadTickRecord {
 /// FNV-64 over the delta's answer transcript: q_t, rho, l, tier,
 /// downgrade reason, shed flag, every rectangle of current / appeared /
 /// vanished / maybe_region as raw IEEE-754 bit patterns (bitwise
-/// identity without per-rect formatting cost), and the logical work
-/// counts (filter cells, objects fetched, dense rects, BnB nodes).
+/// identity without per-rect formatting cost). The answer alone: work
+/// counts are provenance and live in the signature (ExplainSignatureHash),
+/// so a change in how refinement tiles its work cannot move the digest.
 /// Thread-count invariant by the row-major merge guarantee; excludes wall
 /// times, physical/logical I/O, and query ids.
 uint64_t TickDigest(const PdrMonitor::Delta& delta);

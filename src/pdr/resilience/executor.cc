@@ -193,10 +193,10 @@ TieredResult ResilientExecutor::Query(Tick q_t, double rho, double l,
     try {
       FrEngine::QueryResult exact =
           fr_->Query(q_t, rho, l, /*cold_cache=*/false, ctl);
+      exact.FillExplain(&explain);  // reads the region: before the move
       out.region = std::move(exact.region);
       out.cost = exact.cost;
       out.tier = AnswerTier::kExact;
-      exact.FillExplain(&explain);
       return finish(&out);
     } catch (const CancelledError&) {
       out.timed_out = true;

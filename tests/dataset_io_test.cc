@@ -8,6 +8,8 @@
 #include <limits>
 #include <sstream>
 
+#include "pdr/common/errors.h"
+
 namespace pdr {
 namespace {
 
@@ -71,7 +73,7 @@ TEST(DatasetIoTest, EmptyDataset) {
 TEST(DatasetIoTest, BadMagicRejected) {
   std::stringstream buffer;
   buffer << "NOPE and then some bytes";
-  EXPECT_THROW(ReadDataset(buffer), std::runtime_error);
+  EXPECT_THROW(ReadDataset(buffer), DecodeError);
 }
 
 TEST(DatasetIoTest, TruncationRejected) {
@@ -84,7 +86,7 @@ TEST(DatasetIoTest, TruncationRejected) {
   for (size_t cut : {size_t{3}, size_t{10}, bytes.size() / 2,
                      bytes.size() - 1}) {
     std::stringstream truncated(bytes.substr(0, cut));
-    EXPECT_THROW(ReadDataset(truncated), std::runtime_error) << cut;
+    EXPECT_THROW(ReadDataset(truncated), DecodeError) << cut;
   }
 }
 
@@ -145,7 +147,7 @@ TEST(DatasetIoTest, NonFiniteCoordinatesRejectedOnRead) {
   try {
     ReadDataset(corrupt);
     FAIL() << "NaN position accepted";
-  } catch (const std::runtime_error& e) {
+  } catch (const DecodeError& e) {
     EXPECT_NE(std::string(e.what()).find("non-finite"), std::string::npos)
         << "error message does not name the problem: " << e.what();
   }
@@ -160,7 +162,7 @@ TEST(DatasetIoTest, CorruptConfigRejected) {
   const double bad_extent = -1.0;
   std::memcpy(bytes.data() + 8, &bad_extent, sizeof(bad_extent));
   std::stringstream corrupt(bytes);
-  EXPECT_THROW(ReadDataset(corrupt), std::runtime_error);
+  EXPECT_THROW(ReadDataset(corrupt), DecodeError);
 }
 
 TEST(DatasetIoTest, LoadedDatasetReplaysIdentically) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "pdr/core/oracle.h"
 #include "pdr/core/simulation.h"
 #include "pdr/mobility/generator.h"
+#include "pdr/obs/explain.h"
 #include "pdr/obs/flight_recorder.h"
 #include "pdr/obs/obs.h"
 
@@ -222,12 +224,14 @@ TEST(FrEngineTest, FinerHistogramReducesCandidates) {
   EXPECT_LT(area_fine, area_coarse);
 }
 
-// The per-cell refinement the one-scan engine replaced, rebuilt from
-// public calls: FilterCells, one RangeQuery per candidate cell, SweepCell,
-// Region::Coalesced — on a cold cache, counting the reads it pays.
+// The per-cell refinement the row-run engine replaced, rebuilt from
+// public calls and kept as the test oracle: FilterCells, one RangeQuery
+// per candidate cell, SweepCell over the cell, Region::Coalesced of the
+// raw strips — on a cold cache, counting the reads it pays.
 struct PerCellReference {
   Region region;
-  int64_t objects_fetched = 0;
+  FilterResult filter;
+  std::set<ObjectId> windowed;  // distinct objects inside some window
   int64_t out_of_domain = 0;    // fetched positions the sweep never sees
   int64_t edge_candidates = 0;  // candidate cells on the domain edge
   SweepStats sweep;
@@ -242,20 +246,20 @@ PerCellReference RefineCellByCell(FrEngine& fr, Tick q_t, double rho,
   const Grid& grid = fr.histogram().grid();
   const int m = grid.cells_per_side();
   const int64_t n_min = MinObjectsForDensity(rho, l);
-  const FilterResult filter = FilterCells(fr.histogram(), q_t, rho, l);
+  ref.filter = FilterCells(fr.histogram(), q_t, rho, l);
   Region merged;
   for (int row = 0; row < m; ++row) {
     for (int col = 0; col < m; ++col) {
       const Rect cell = grid.CellRect(col, row);
-      if (filter.At(col, row) == CellClass::kAccept) merged.Add(cell);
-      if (filter.At(col, row) != CellClass::kCandidate) continue;
+      if (ref.filter.At(col, row) == CellClass::kAccept) merged.Add(cell);
+      if (ref.filter.At(col, row) != CellClass::kCandidate) continue;
       if (col == 0 || row == 0 || col == m - 1 || row == m - 1) {
         ++ref.edge_candidates;
       }
-      const auto objects = fr.index().RangeQuery(cell.Expanded(l / 2), q_t);
-      ref.objects_fetched += static_cast<int64_t>(objects.size());
       std::vector<Vec2> positions;
-      for (const auto& [id, state] : objects) {
+      for (const auto& [id, state] :
+           fr.index().RangeQuery(cell.Expanded(l / 2), q_t)) {
+        ref.windowed.insert(id);
         const Vec2 p = state.PositionAt(q_t);
         if (grid.InDomain(p)) {
           positions.push_back(p);
@@ -273,6 +277,27 @@ PerCellReference RefineCellByCell(FrEngine& fr, Tick q_t, double rho,
   return ref;
 }
 
+// The maximal runs of horizontally adjacent candidate cells, row-major.
+struct RowRun {
+  int64_t row, col_lo, col_hi;
+  auto operator<=>(const RowRun&) const = default;
+};
+
+std::vector<RowRun> CandidateRowRuns(const FilterResult& filter, int m) {
+  std::vector<RowRun> runs;
+  for (int row = 0; row < m; ++row) {
+    for (int col = 0; col < m; ++col) {
+      if (filter.At(col, row) != CellClass::kCandidate) continue;
+      if (col > 0 && filter.At(col - 1, row) == CellClass::kCandidate) {
+        runs.back().col_hi = col;
+      } else {
+        runs.push_back({row, col, col});
+      }
+    }
+  }
+  return runs;
+}
+
 std::string HexRects(const Region& region) {
   std::ostringstream os;
   os << std::hexfloat;
@@ -282,13 +307,14 @@ std::string HexRects(const Region& region) {
   return os.str();
 }
 
-// One index scan per query, bucketed by cell, answers exactly as one range
-// query per candidate cell did — same rectangles to the bit, same fetched
-// objects, same sweep work — and reads exactly the pages those range
-// queries visit between them, each once. Uniform movers and stationary
-// clusters at q_t = now and q_t = now + H: at the horizon, movers near the
-// domain edge are predicted outside it, so they count as fetched but never
-// reach the sweep.
+// One index scan per query, bucketed by cell and swept by row-runs,
+// answers exactly as one range query and one sweep per candidate cell did
+// — same rectangles to the bit, the same distinct objects inside some
+// window (counted here by brute force over every object) — and reads
+// exactly the pages those range queries visit between them, each once.
+// Uniform movers and stationary clusters at q_t = now and q_t = now + H:
+// at the horizon, movers near the domain edge are predicted outside it,
+// so they count as fetched but never reach the sweep.
 TEST(FrEngineTest, OneScanMatchesPerCellRangeQueriesAndReadsPagesOnce) {
   struct Case {
     uint64_t seed;
@@ -307,16 +333,18 @@ TEST(FrEngineTest, OneScanMatchesPerCellRangeQueriesAndReadsPagesOnce) {
     FrEngine fr(options);
     options.buffer_pages = 4096;
     FrEngine wide(options);
-    for (const UpdateEvent& e :
-         c.clustered
-             ? MakeClusteredInserts(kObjects, 4, kExtent, 20.0, 0.5, c.seed)
-             : MakeUniformInserts(kObjects, kExtent, 1.5, c.seed)) {
+    const std::vector<UpdateEvent> events =
+        c.clustered
+            ? MakeClusteredInserts(kObjects, 4, kExtent, 20.0, 0.5, c.seed)
+            : MakeUniformInserts(kObjects, kExtent, 1.5, c.seed);
+    for (const UpdateEvent& e : events) {
       fr.Apply(e);
       wide.Apply(e);
     }
     const double rho = c.rho_scale * kObjects / (kExtent * kExtent);
     const int64_t pages = static_cast<int64_t>(fr.index().node_count());
     ASSERT_LT(wide.index().node_count(), options.buffer_pages);
+    const Grid& grid = fr.histogram().grid();
     for (Tick q_t : {Tick{0}, options.horizon}) {
       SCOPED_TRACE("q_t " + std::to_string(q_t));
       const PerCellReference ref = RefineCellByCell(fr, q_t, rho, c.l);
@@ -332,12 +360,23 @@ TEST(FrEngineTest, OneScanMatchesPerCellRangeQueriesAndReadsPagesOnce) {
         }
       }
 
+      int64_t brute_force = 0;
+      for (const UpdateEvent& e : events) {
+        const Vec2 p = e.new_state->PositionAt(q_t);
+        bool inside = false;
+        for (int k = 0; k < grid.cell_count() && !inside; ++k) {
+          inside = ref.filter.At(k % grid.cells_per_side(),
+                                 k / grid.cells_per_side()) ==
+                       CellClass::kCandidate &&
+                   grid.CellRect(k).Expanded(c.l / 2).ContainsClosed(p);
+        }
+        brute_force += inside;
+      }
+
       EXPECT_EQ(HexRects(got.region), HexRects(ref.region));
-      EXPECT_EQ(got.objects_fetched, ref.objects_fetched);
-      EXPECT_EQ(got.sweep.x_strips, ref.sweep.x_strips);
-      EXPECT_EQ(got.sweep.y_sweeps, ref.sweep.y_sweeps);
-      EXPECT_EQ(got.sweep.y_strips, ref.sweep.y_strips);
-      EXPECT_EQ(got.sweep.dense_rects, ref.sweep.dense_rects);
+      EXPECT_EQ(got.objects_fetched, brute_force);
+      EXPECT_EQ(got.objects_fetched,
+                static_cast<int64_t>(ref.windowed.size()));
 
       EXPECT_EQ(got.cost.io.physical_reads, distinct_pages);
       EXPECT_EQ(got.cost.io.logical_reads, got.cost.io.physical_reads);
@@ -347,16 +386,20 @@ TEST(FrEngineTest, OneScanMatchesPerCellRangeQueriesAndReadsPagesOnce) {
   }
 }
 
-// Refinement joins each cell's sweep strips before the final coalesce;
-// the per-cell reference above coalesces the raw SweepCell strips. The
-// answers must agree to the bit, with the same fetched objects and sweep
-// work, over seeds x {clustered, uniform} x rho x l x q_t, serial and
-// fanned out.
+// Refinement sweeps each row-run of candidate cells once and joins its
+// strips before the final coalesce; the per-cell reference above sweeps
+// every candidate cell over its own window and coalesces the raw strips.
+// The answers must agree to the bit, with the same distinct objects
+// fetched, over seeds x {clustered, uniform} x rho x l x q_t, serial and
+// fanned out. The matrix includes runs that span a whole grid row and
+// runs of a single cell.
 class FrJoinedStripsTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FrJoinedStripsTest, MatchesCoalescedRawStrips) {
   constexpr int kObjects = 3000;
   int64_t dense_rects = 0;
+  int64_t whole_row_runs = 0;
+  int64_t single_cell_runs = 0;
   for (const uint64_t seed : {81, 82}) {
     for (const bool clustered : {false, true}) {
       FrEngine fr(SmallOptions());
@@ -367,6 +410,7 @@ TEST_P(FrJoinedStripsTest, MatchesCoalescedRawStrips) {
                : MakeUniformInserts(kObjects, kExtent, 1.5, seed)) {
         fr.Apply(e);
       }
+      const int m = fr.histogram().grid().cells_per_side();
       for (const double rho_scale : {1.0, 2.5}) {
         for (const double l : {12.0, 25.0}) {
           for (const Tick q_t : {Tick{0}, Tick{20}}) {
@@ -378,18 +422,22 @@ TEST_P(FrJoinedStripsTest, MatchesCoalescedRawStrips) {
             const PerCellReference ref = RefineCellByCell(fr, q_t, rho, l);
             const auto got = fr.Query(q_t, rho, l);
             EXPECT_EQ(HexRects(got.region), HexRects(ref.region));
-            EXPECT_EQ(got.objects_fetched, ref.objects_fetched);
-            EXPECT_EQ(got.sweep.x_strips, ref.sweep.x_strips);
-            EXPECT_EQ(got.sweep.y_sweeps, ref.sweep.y_sweeps);
-            EXPECT_EQ(got.sweep.y_strips, ref.sweep.y_strips);
-            EXPECT_EQ(got.sweep.dense_rects, ref.sweep.dense_rects);
-            dense_rects += got.sweep.dense_rects;
+            EXPECT_EQ(got.objects_fetched,
+                      static_cast<int64_t>(ref.windowed.size()));
+            dense_rects += ref.sweep.dense_rects;
+            for (const RowRun& run : CandidateRowRuns(ref.filter, m)) {
+              whole_row_runs += run.col_lo == 0 && run.col_hi == m - 1;
+              single_cell_runs += run.col_lo == run.col_hi;
+            }
           }
         }
       }
     }
   }
-  EXPECT_GT(dense_rects, 1000);  // the comparison is not vacuous
+  // The comparison is not vacuous, and covers both extreme run shapes.
+  EXPECT_GT(dense_rects, 1000);
+  EXPECT_GT(whole_row_runs, 0);
+  EXPECT_GT(single_cell_runs, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, FrJoinedStripsTest, ::testing::Values(1, 4));
@@ -493,9 +541,11 @@ class FrStageReportTest : public ::testing::TestWithParam<int> {
     }
   }
 
+  static constexpr double kRho = 1.2 * 3000 / (kExtent * kExtent);
+  static constexpr double kL = 20.0;
+
   FrEngine::QueryResult Query() {
-    const double rho = 1.2 * 3000 / (kExtent * kExtent);
-    return fr_.Query(/*q_t=*/2, rho, 20.0, /*cold_cache=*/true);
+    return fr_.Query(/*q_t=*/2, kRho, kL, /*cold_cache=*/true);
   }
 
   FrEngine fr_{SmallOptions()};
@@ -523,33 +573,45 @@ TEST_P(FrStageReportTest, TraceTreeIsTheQueryStages) {
   const SpanNode& root = *traces[0];
   EXPECT_EQ(root.name, "fr.query");
   ASSERT_GT(got.candidate_cells, 10);
-  ASSERT_EQ(root.children.size(),
-            static_cast<size_t>(got.candidate_cells) + 3);
+  const Grid& grid = fr_.histogram().grid();
+  const std::vector<RowRun> runs = CandidateRowRuns(
+      FilterCells(fr_.histogram(), 2, kRho, kL), grid.cells_per_side());
+  ASSERT_LT(runs.size(), static_cast<size_t>(got.candidate_cells));
+  EXPECT_EQ(root.IntAttrOr("runs", -1), static_cast<int64_t>(runs.size()));
+  ASSERT_EQ(root.children.size(), runs.size() + 3);
   EXPECT_EQ(root.children[0]->name, "fr.filter");
   EXPECT_EQ(root.children[1]->name, "tpr.scan");
   for (size_t i = 2; i + 1 < root.children.size(); ++i) {
-    EXPECT_EQ(root.children[i]->name, "fr.cell");
+    EXPECT_EQ(root.children[i]->name, "fr.run");
   }
   EXPECT_EQ(root.children.back()->name, "fr.coalesce");
   for (const auto& child : root.children) {
     EXPECT_TRUE(child->children.empty()) << child->name;
   }
 
-  // Each cell hands the coalesce its joined rectangles: at most one per
-  // strip rectangle it swept, and together the coalesce's whole input
-  // beside the accepted cells.
+  // One span per row-run (in any order when fanned out). Each run hands
+  // the coalesce its joined rectangles: at most one per strip rectangle
+  // it swept, and together the coalesce's whole input beside the
+  // accepted cells.
+  std::vector<RowRun> spanned;
   int64_t joined = 0;
   int64_t strips = 0;
   for (size_t i = 2; i + 1 < root.children.size(); ++i) {
-    const SpanNode& cell = *root.children[i];
-    EXPECT_LE(cell.IntAttrOr("rects", -1), cell.IntAttrOr("dense_rects", -1));
-    joined += cell.IntAttrOr("rects", 0);
-    strips += cell.IntAttrOr("dense_rects", 0);
+    const SpanNode& run = *root.children[i];
+    spanned.push_back({run.IntAttrOr("row", -1), run.IntAttrOr("col_lo", -1),
+                       run.IntAttrOr("col_hi", -1)});
+    EXPECT_LE(run.IntAttrOr("rects", -1), run.IntAttrOr("dense_rects", -1));
+    joined += run.IntAttrOr("rects", 0);
+    strips += run.IntAttrOr("dense_rects", 0);
   }
+  std::sort(spanned.begin(), spanned.end());
+  EXPECT_EQ(spanned, runs);
   EXPECT_EQ(strips, got.sweep.dense_rects);
   EXPECT_LT(joined, strips);
   EXPECT_EQ(root.children.back()->IntAttrOr("rects_in", -1),
             joined + got.accepted_cells);
+  EXPECT_EQ(root.children.back()->IntAttrOr("rects_out", -1),
+            static_cast<int64_t>(got.region.size()));
 
   // The scan is the query's only page reader.
   const SpanNode& scan = *root.children[1];
@@ -559,6 +621,32 @@ TEST_P(FrStageReportTest, TraceTreeIsTheQueryStages) {
   EXPECT_EQ(scan.IntAttrOr("io_logical", -1), got.cost.io.logical_reads);
   EXPECT_EQ(scan.IntAttrOr("nodes_visited", -1), got.cost.io.logical_reads);
   if (GetParam() == 1) ExpectSpansCoverChildren(root);
+}
+
+// EXPLAIN names the query's stages: the filter, then refinement's scan,
+// sweep and coalesce, whose times add up to refine_ms. Its counts are the
+// tiling-free ones: the fetched objects and the answer's rectangles.
+TEST_P(FrStageReportTest, ExplainStagesAreTheQueryStages) {
+  const auto got = Query();
+  ExplainRecord explain;
+  got.FillExplain(&explain);
+  ASSERT_EQ(explain.stages.size(), 4u);
+  EXPECT_EQ(explain.stages[0].name, "filter");
+  EXPECT_EQ(explain.stages[1].name, "scan");
+  EXPECT_EQ(explain.stages[2].name, "sweep");
+  EXPECT_EQ(explain.stages[3].name, "coalesce");
+  EXPECT_EQ(explain.stages[0].spent_ms, got.filter_ms);
+  EXPECT_EQ(explain.stages[1].spent_ms, got.scan_ms);
+  EXPECT_EQ(explain.stages[2].spent_ms, got.sweep_ms);
+  EXPECT_EQ(explain.stages[3].spent_ms, got.coalesce_ms);
+  EXPECT_EQ(got.scan_ms + got.sweep_ms + got.coalesce_ms, got.refine_ms);
+  for (const ExplainStage& stage : explain.stages) {
+    EXPECT_GE(stage.spent_ms, 0.0) << stage.name;
+    EXPECT_TRUE(stage.completed) << stage.name;
+  }
+  EXPECT_EQ(explain.objects_fetched, got.objects_fetched);
+  EXPECT_EQ(explain.dense_rects, static_cast<int64_t>(got.region.size()));
+  EXPECT_EQ(explain.candidate_cells, got.candidate_cells);
 }
 
 TEST_P(FrStageReportTest, SweepMetricsCountOncePerQuery) {

@@ -618,6 +618,32 @@ TEST(ResilienceTest, MonitorStampsTierAndBudget) {
   EXPECT_FALSE(delta.current.IsEmpty());
 }
 
+// EXPLAIN's rectangle count is the answer's on every path that answers
+// exactly: the ladder, a ladder-free monitor tick and a ladder-free batch
+// (each hands the engine's region on, so the count must be taken first).
+TEST(ResilienceTest, ExactExplainCountsTheAnswersRectangles) {
+  LadderRig rig;
+  ResilientExecutor exec(&rig.fr, &rig.pa, {.deadline_ms = 1e9});
+  const TieredResult laddered = exec.Query(0, rig.rho, kL);
+  ASSERT_EQ(laddered.tier, AnswerTier::kExact);
+  ASSERT_FALSE(laddered.region.IsEmpty());
+  EXPECT_EQ(laddered.explain.dense_rects,
+            static_cast<int64_t>(laddered.region.size()));
+
+  PdrMonitor monitor(&rig.fr, {.rho = rig.rho, .l = kL, .lookahead = 0});
+  const auto delta = monitor.OnTick(0);
+  ASSERT_EQ(delta.tier, AnswerTier::kExact);
+  ASSERT_FALSE(delta.current.IsEmpty());
+  EXPECT_EQ(delta.explain.dense_rects,
+            static_cast<int64_t>(delta.current.size()));
+
+  const auto batch = monitor.QueryBatch(0, {{rig.rho, kL, 0}});
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_FALSE(batch[0].region.IsEmpty());
+  EXPECT_EQ(batch[0].explain.dense_rects,
+            static_cast<int64_t>(batch[0].region.size()));
+}
+
 TEST(ResilienceTest, MonitorShedsTicksWhenControllerIsFull) {
   FrEngine fr(FrOpts());
   for (const UpdateEvent& e : Convoy(30)) fr.Apply(e);
@@ -748,7 +774,11 @@ TEST(ResilienceTest, MonitorQueryBatchWithoutLadderAnswersExact) {
   ASSERT_EQ(results.size(), 2u);
   for (const TieredResult& r : results) {
     EXPECT_EQ(r.tier, AnswerTier::kExact);
-    EXPECT_EQ(r.explain.stages.size(), 2u);
+    ASSERT_EQ(r.explain.stages.size(), 4u);
+    const char* const names[] = {"filter", "scan", "sweep", "coalesce"};
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(r.explain.stages[i].name, names[i]);
+    }
   }
   EXPECT_TRUE(SameRects(results[0].region,
                         fr.Query(0, WorkloadRho(), kL).region));

@@ -13,7 +13,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
+#include "pdr/common/errors.h"
+#include "pdr/core/fr_engine.h"
 #include "pdr/core/monitor.h"
 #include "pdr/mobility/generator.h"
 #include "pdr/obs/workload_log.h"
@@ -195,7 +198,7 @@ TEST(WorkloadLogTest, InteriorCorruptionIsRejected) {
   bytes[bytes.size() / 2] ^= 0x40;
   const std::string bad_path = dir.path() + "/bad.wlog";
   WriteAll(bad_path, bytes);
-  EXPECT_THROW(WorkloadLog::Load(bad_path), std::runtime_error);
+  EXPECT_THROW(WorkloadLog::Load(bad_path), DecodeError);
 }
 
 TEST(WorkloadLogTest, BadMagicAndMissingFileAreRejected) {
@@ -204,7 +207,7 @@ TEST(WorkloadLogTest, BadMagicAndMissingFileAreRejected) {
                std::runtime_error);
   const std::string junk = dir.path() + "/junk.wlog";
   WriteAll(junk, "this is not a workload log at all");
-  EXPECT_THROW(WorkloadLog::Load(junk), std::runtime_error);
+  EXPECT_THROW(WorkloadLog::Load(junk), DecodeError);
 
   // The header's index byte must be 0 (TPR-tree). A header-only log is
   // the 8-byte file header, one 24-byte record header (checksum at +16),
@@ -238,7 +241,7 @@ TEST(WorkloadLogTest, BadMagicAndMissingFileAreRejected) {
     try {
       WorkloadLog::Load(path);
       ADD_FAILURE() << "index byte " << int{index} << " was accepted";
-    } catch (const std::runtime_error& e) {
+    } catch (const DecodeError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("unsupported header"), std::string::npos) << what;
       EXPECT_NE(what.find("retired B^x-tree"), std::string::npos) << what;
@@ -273,6 +276,114 @@ TEST(WorkloadLogTest, TickDigestCoversAnswerBitsButNotWallTime) {
   PdrMonitor::Delta degraded = delta;
   degraded.tier = AnswerTier::kHistogram;
   EXPECT_NE(TickDigest(degraded), base);
+}
+
+// Appends one record with a valid checksum, so the payload alone decides
+// whether the log loads.
+void AppendSealedRecord(std::string* bytes, uint8_t type,
+                        const std::string& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  uint64_t checksum = Fnv1a64(&type, sizeof(type));
+  checksum = Fnv1a64(&len, sizeof(len), checksum);
+  checksum = Fnv1a64(payload.data(), payload.size(), checksum);
+  PutPod(bytes, uint32_t{0x4345524Cu});  // "LREC"
+  PutPod(bytes, type);
+  bytes->append(3, '\0');
+  PutPod(bytes, len);
+  PutPod(bytes, uint32_t{0});
+  PutPod(bytes, checksum);
+  bytes->append(payload);
+}
+
+TEST(WorkloadLogTest, ImplausibleUpdateRecordsAreDecodeErrors) {
+  TempDir dir;
+  const std::string good = dir.path() + "/good.wlog";
+  { WorkloadRecorder recorder(good, SmallHeader()); }
+  const std::string header_only = ReadAll(good);
+
+  // A count the payload cannot hold must be refused before anything is
+  // allocated for it.
+  std::string huge;
+  PutPod(&huge, Tick{0});
+  PutPod(&huge, uint32_t{0xFFFFFFFFu});
+  // An update whose flags byte names states that do not exist.
+  std::string flags;
+  PutPod(&flags, Tick{0});
+  PutPod(&flags, uint32_t{1});
+  PutPod(&flags, ObjectId{1});
+  PutPod(&flags, uint8_t{4});
+  // A record type no writer emits.
+  const std::pair<uint8_t, std::string> bad[] = {
+      {2, huge}, {2, flags}, {9, std::string()}};
+  for (const auto& [type, payload] : bad) {
+    std::string bytes = header_only;
+    AppendSealedRecord(&bytes, type, payload);
+    const std::string path = dir.path() + "/bad.wlog";
+    WriteAll(path, bytes);
+    EXPECT_THROW(WorkloadLog::Load(path), DecodeError) << int{type};
+  }
+}
+
+// The tick digest covers the answer alone; the EXPLAIN signature covers
+// the provenance. Counts that only say how the answer was computed move
+// the signature and leave the digest; a changed answer moves the digest,
+// and the signature too when the answer's rectangle count changes.
+TEST(WorkloadLogTest, DigestCoversTheAnswerAndSignatureTheProvenance) {
+  const auto delta_of = [](const Region& region, int64_t objects,
+                           int64_t strips = 40) {
+    FrEngine::QueryResult result;
+    result.region = region;
+    result.accepted_cells = 3;
+    result.candidate_cells = 5;
+    result.rejected_cells = 392;
+    result.objects_fetched = objects;
+    result.sweep.dense_rects = strips;
+    PdrMonitor::Delta delta;
+    delta.now = 4;
+    delta.q_t = 7;
+    delta.current = region;
+    delta.appeared = region;
+    result.FillExplain(&delta.explain);
+    delta.explain.rho = 0.01;
+    delta.explain.l = 30.0;
+    return delta;
+  };
+  Region region;
+  region.Add(Rect(10.0, 10.0, 40.0, 40.0));
+  const PdrMonitor::Delta base = delta_of(region, 120);
+  const uint64_t digest = TickDigest(base);
+  const uint64_t sig = ExplainSignatureHash(base.explain);
+
+  // Provenance only: fetched objects, filter and BnB counts, stage names.
+  PdrMonitor::Delta counted = delta_of(region, 121);
+  EXPECT_EQ(TickDigest(counted), digest);
+  EXPECT_NE(ExplainSignatureHash(counted.explain), sig);
+  counted = base;
+  counted.explain.candidate_cells += 1;
+  counted.explain.bnb_nodes = 9;
+  counted.explain.stages.push_back({"histogram", 0.0, true});
+  EXPECT_EQ(TickDigest(counted), digest);
+  EXPECT_NE(ExplainSignatureHash(counted.explain), sig);
+  // The plane sweep's strip count says how refinement tiled the work;
+  // neither hash sees it.
+  const PdrMonitor::Delta retiled = delta_of(region, 120, 7);
+  EXPECT_EQ(TickDigest(retiled), digest);
+  EXPECT_EQ(ExplainSignatureHash(retiled.explain), sig);
+
+  // One ulp of one rectangle moves the digest; the answer still has one
+  // rectangle, so the signature holds.
+  Region nudged;
+  nudged.Add(Rect(10.0, 10.0, std::nextafter(40.0, 41.0), 40.0));
+  const PdrMonitor::Delta moved = delta_of(nudged, 120);
+  EXPECT_NE(TickDigest(moved), digest);
+  EXPECT_EQ(ExplainSignatureHash(moved.explain), sig);
+
+  // An answer that gains a rectangle moves both.
+  Region grown = region;
+  grown.Add(Rect(60.0, 60.0, 70.0, 70.0));
+  const PdrMonitor::Delta gained = delta_of(grown, 120);
+  EXPECT_NE(TickDigest(gained), digest);
+  EXPECT_NE(ExplainSignatureHash(gained.explain), sig);
 }
 
 TEST(WorkloadLogTest, WriteBundleProducesSelfContainedDirectory) {
